@@ -1,0 +1,166 @@
+"""Modeling-layer benchmark: the fused critic trainer vs the per-op autograd tape.
+
+Times DNN-Opt's dominant modeling step, ``Critic.fit`` at the 8000
+pseudo-sample cap for 20 epochs (folded-cascode sized: 20 design variables,
+so a 40-input critic, and 6 normalized performance outputs), two ways on the
+same data and initial weights:
+
+* ``tape``: the reference path, one tape node per layer op through the
+  critic's ``net.net`` modules, ``mse_loss(...).backward()`` and
+  ``Adam.step`` per minibatch;
+* ``fused``: ``Critic.fit`` itself, i.e. ``MLP.fit_mse`` (fused forward,
+  fused VJP, one flat Adam update per minibatch).
+
+Both must end with bit-identical weights and loss; the script fails if they
+do not.
+
+    PYTHONPATH=src python benchmarks/bench_modeling.py            # full
+    PYTHONPATH=src python benchmarks/bench_modeling.py --quick    # CI smoke
+
+Results are written to ``BENCH_modeling.json`` (override with ``--out``).
+``--check BASELINE.json`` turns the run into a regression gate: it fails
+when the measured fused-vs-tape *speedup ratio* drops more than 40% below
+the committed baseline's.  Both paths run on one host in one process, so
+the ratio is machine-portable where absolute seconds are not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+from repro.core import Critic, generate_pseudo_samples
+from repro.nn import Adam, Tensor, mse_loss
+
+#: fraction of the baseline speedup the measured speedup must retain.
+REGRESSION_FLOOR = 0.6
+
+DIM, OUTPUTS, ARCHIVE, ROWS, SEED = 20, 6, 90, 8000, 0
+
+
+def training_set() -> tuple[np.ndarray, np.ndarray]:
+    """8000 pseudo-samples from a seeded 90-row archive of a smooth toy map."""
+    rng = np.random.default_rng(SEED)
+    X = rng.uniform(size=(ARCHIVE, DIM))
+    mix = rng.normal(size=(DIM, OUTPUTS))
+    Y = np.tanh((X - 0.5) @ mix) + 0.1 * np.sum((X - 0.5) ** 2, axis=1, keepdims=True)
+    return generate_pseudo_samples(X, Y, rng=rng, max_pairs=ROWS)
+
+
+def fresh_critic() -> Critic:
+    return Critic(DIM, OUTPUTS, rng=np.random.default_rng(SEED + 1))
+
+
+def tape_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """The same training as ``Critic.fit``, one tape node per layer op."""
+    scaled = critic.target_scaler.fit_transform(targets)
+    optimizer = Adam(critic.net.parameters(), lr=critic.lr)
+    n = len(inputs)
+    batch = min(critic.batch_size, n)
+    last_loss = np.inf
+    for _ in range(critic.epochs):
+        order = critic.rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            rows = order[start:start + batch]
+            loss = mse_loss(critic.net.net(Tensor(inputs[rows])), Tensor(scaled[rows]))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+        last_loss = float(np.mean(losses))
+    return last_loss
+
+
+def time_fit(fit, inputs: np.ndarray, targets: np.ndarray, reps: int):
+    """Best-of-``reps`` seconds for ``fit`` on a fresh critic, plus its result."""
+    seconds = []
+    for _ in range(reps):
+        critic = fresh_critic()
+        t0 = perf_counter()
+        loss = fit(critic, inputs, targets)
+        seconds.append(perf_counter() - t0)
+    return min(seconds), loss, [p.data for p in critic.net.parameters()]
+
+
+def run(quick: bool) -> dict:
+    reps = 2 if quick else 5
+    inputs, targets = training_set()
+    print(f"critic fit, {len(inputs)} rows x {fresh_critic().epochs} epochs "
+          f"({reps} reps/path)...", flush=True)
+    tape_s, tape_loss, tape_weights = time_fit(tape_fit, inputs, targets, reps)
+    fused_s, fused_loss, fused_weights = time_fit(Critic.fit, inputs, targets, reps)
+    identical = tape_loss == fused_loss and all(
+        np.array_equal(a, b) for a, b in zip(tape_weights, fused_weights))
+    return {
+        "benchmark": "bench_modeling",
+        "quick": quick,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "metric_note": ("'speedup' (fused vs tape critic fit on one host) is the "
+                        "machine-portable guarded metric; absolute seconds are "
+                        "host-dependent."),
+        "critic_fit": {
+            "rows": len(inputs),
+            "epochs": fresh_critic().epochs,
+            "reps": reps,
+            "tape_s": tape_s,
+            "fused_s": fused_s,
+            "final_loss": fused_loss,
+        },
+        "bit_identical": identical,
+        "speedup": tape_s / fused_s,
+    }
+
+
+def report(results: dict) -> None:
+    fit = results["critic_fit"]
+    print(f"  tape : {fit['tape_s']:.3f} s")
+    print(f"  fused: {fit['fused_s']:.3f} s")
+    print(f"  speedup: {results['speedup']:.2f}x   bit-identical: {results['bit_identical']}")
+
+
+def check_against(results: dict, baseline_path: Path) -> int:
+    base = json.loads(baseline_path.read_text())["speedup"]
+    floor = REGRESSION_FLOOR * base
+    measured = results["speedup"]
+    verdict = "ok" if measured >= floor else "REGRESSION"
+    print(f"check critic_fit: speedup {measured:.2f}x vs baseline {base:.2f}x "
+          f"(floor {floor:.2f}x) -> {verdict}")
+    return int(measured < floor)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="fewer reps for the CI perf smoke")
+    parser.add_argument("--out", default="BENCH_modeling.json",
+                        help="where to write the results JSON")
+    parser.add_argument("--check", metavar="BASELINE",
+                        help="fail if the speedup regresses >40%% vs this "
+                             "committed baseline JSON")
+    args = parser.parse_args(argv)
+
+    results = run(args.quick)
+    report(results)
+    out_path = Path(args.out)
+    out_path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nwrote {out_path}")
+
+    if not results["bit_identical"]:
+        print("fused and tape critic training diverged", file=sys.stderr)
+        return 1
+    if args.check and check_against(results, Path(args.check)):
+        print(f"perf regression vs {args.check}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

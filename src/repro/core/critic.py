@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, Adam, StandardScaler, Tensor, mse_loss
+from ..nn import MLP, StandardScaler, Tensor
 
 __all__ = ["Critic"]
 
@@ -35,28 +35,19 @@ class Critic:
 
     def fit(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Train on pseudo-samples with the MSE of Eq. 3; returns final loss."""
-        inputs = np.atleast_2d(inputs)
-        targets = np.atleast_2d(targets)
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         if inputs.shape[1] != 2 * self.dim:
             raise ValueError(f"critic expects {2 * self.dim} input features, "
                              f"got {inputs.shape[1]}")
+        if len(inputs) == 0 or len(inputs) != len(targets):
+            raise ValueError(f"critic needs matching non-empty training rows, got "
+                             f"{len(inputs)} inputs and {len(targets)} targets")
+        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+            raise ValueError("critic training rows must be finite")
         scaled = self.target_scaler.fit_transform(targets)
-        optimizer = Adam(self.net.parameters(), lr=self.lr)
-        n = len(inputs)
-        batch = min(self.batch_size, n)
-        last_loss = np.inf
-        for _ in range(self.epochs):
-            order = self.rng.permutation(n)
-            losses = []
-            for start in range(0, n, batch):
-                rows = order[start:start + batch]
-                prediction = self.net(Tensor(inputs[rows]))
-                loss = mse_loss(prediction, Tensor(scaled[rows]))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(loss.item())
-            last_loss = float(np.mean(losses))
+        last_loss = self.net.fit_mse(inputs, scaled, lr=self.lr, epochs=self.epochs,
+                                     batch_size=self.batch_size, rng=self.rng)
         self._trained = True
         return last_loss
 

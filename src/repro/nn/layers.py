@@ -2,14 +2,23 @@
 
 The paper's actor and critic are plain multi-layer perceptrons; this module
 provides the :class:`Module` base class, :class:`Linear` affine maps, the
-usual activations and a convenience :class:`MLP` factory.
+usual activations and the :class:`MLP` both networks are built from.
+
+:class:`MLP` runs as one fused kernel rather than one tape node per layer
+op: a forward pass that keeps every layer's pre-activation and activation,
+and a hand-written vector-Jacobian product (VJP) for the whole
+Linear+activation stack.  Each activation module therefore carries its own
+``apply``/``vjp`` pair next to the per-op :class:`Tensor` method it mirrors;
+the fused kernel reproduces the per-op tape's arithmetic operation for
+operation, so both give bit-identical values and gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .optim import Adam
+from .tensor import Tensor, _unbroadcast
 
 __all__ = [
     "Module",
@@ -94,9 +103,19 @@ class Linear(Module):
         return x @ self.weight + self.bias
 
 
+# Each activation's ``apply(z)`` and ``vjp(grad, z, a)`` (``a = apply(z)``)
+# repeat the arithmetic of the Tensor method its ``forward`` calls.
+
+
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return np.maximum(z, 0.0)
+
+    def vjp(self, grad: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return grad * (z > 0.0)
 
 
 class LeakyReLU(Module):
@@ -106,20 +125,44 @@ class LeakyReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.leaky_relu(self.slope)
 
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return np.where(z > 0.0, z, self.slope * z)
+
+    def vjp(self, grad: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return grad * np.where(z > 0.0, 1.0, self.slope)
+
 
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return np.tanh(z)
+
+    def vjp(self, grad: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return grad * (1.0 - a**2)
 
 
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
 
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+
+    def vjp(self, grad: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return grad * a * (1.0 - a)
+
 
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return z
+
+    def vjp(self, grad: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return grad
 
 
 _ACTIVATIONS.update({
@@ -145,6 +188,11 @@ class Sequential(Module):
 
 class MLP(Module):
     """Multi-layer perceptron ``in -> hidden... -> out``.
+
+    ``net`` holds the ``Linear``/activation modules in order; their
+    parameters are the MLP's.  Calling the MLP on a :class:`Tensor` records
+    a single tape node whose backward is the fused VJP, :meth:`predict` is a
+    plain NumPy forward pass, and :meth:`fit_mse` trains without the tape.
 
     Parameters
     ----------
@@ -180,10 +228,100 @@ class MLP(Module):
         self.in_features = in_features
         self.out_features = out_features
 
+    def _weights(self) -> list[Tensor]:
+        """``[W0, b0, W1, b1, ...]`` whether or not they currently require grad."""
+        return [p for linear in self.net.modules[0::2] for p in (linear.weight, linear.bias)]
+
+    def _forward(self, x: np.ndarray,
+                 weights: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Fused forward pass; returns each layer's ``(pre-activation, activation)``."""
+        cache = []
+        a = x
+        for W, b, act in zip(weights[0::2], weights[1::2], self.net.modules[1::2]):
+            z = a @ W
+            z += b
+            a = act.apply(z)
+            cache.append((z, a))
+        return cache
+
+    def _vjp(self, x: np.ndarray, cache: list[tuple[np.ndarray, np.ndarray]],
+             weights: list[np.ndarray], grad: np.ndarray, need: list[bool],
+             need_input: bool) -> tuple[np.ndarray | None, list[np.ndarray | None]]:
+        """Fused backward pass: ``grad`` w.r.t. the output -> (input, parameter) grads.
+
+        Only the parameter gradients flagged in ``need`` are formed; the
+        input gradient is ``None`` unless ``need_input``.
+        """
+        grads: list[np.ndarray | None] = [None] * len(weights)
+        activations = self.net.modules[1::2]
+        for i in reversed(range(len(cache))):
+            z, a = cache[i]
+            grad = activations[i].vjp(grad, z, a)
+            if need[2 * i]:
+                grads[2 * i] = (cache[i - 1][1] if i else x).T @ grad
+            if need[2 * i + 1]:
+                grads[2 * i + 1] = _unbroadcast(grad, weights[2 * i + 1].shape)
+            if i == 0 and not need_input:
+                return None, grads
+            grad = grad @ weights[2 * i].T
+        return grad, grads
+
     def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)
+        x = Tensor._lift(x)
+        params = self._weights()
+        weights = [p.data for p in params]
+        cache = self._forward(x.data, weights)
+
+        def backward(grad):
+            grad_x, grads = self._vjp(x.data, cache, weights, grad,
+                                      [p.requires_grad for p in params], x.requires_grad)
+            pairs = [(p, g) for p, g in zip(params, grads) if g is not None]
+            return pairs if grad_x is None else [(x, grad_x), *pairs]
+
+        return x._make(cache[-1][1], (x, *params), backward)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on a raw array without building the autograd graph."""
-        out = self.net(Tensor(np.atleast_2d(x)))
-        return out.data
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return self._forward(x, [p.data for p in self._weights()])[-1][1]
+
+    def fit_mse(self, inputs: np.ndarray, targets: np.ndarray, *, lr: float, epochs: int,
+                batch_size: int, rng: np.random.Generator) -> float:
+        """Minibatch Adam on the mean squared error, off the autograd tape.
+
+        Each epoch visits the rows in ``rng.permutation`` order, ``batch_size``
+        at a time.  Per minibatch: fused forward, MSE gradient, fused VJP and
+        one :meth:`Adam.step_flat` over all parameters, with activations kept
+        for that minibatch only.  The result is bit-identical to training
+        with ``mse_loss(self(x), y).backward()`` and :meth:`Adam.step`.
+        Returns the mean minibatch loss of the last epoch.
+        """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        targets = np.asarray(targets, dtype=np.float64)
+        params = self._weights()
+        optimizer = Adam(params, lr=lr)
+        segments = list(zip(params, optimizer.segments))
+        theta = np.concatenate([p.data.ravel() for p in params])
+        need = [True] * len(params)
+        n = len(inputs)
+        batch = min(batch_size, n)
+        last_loss = np.inf
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            losses = []
+            for start in range(0, n, batch):
+                rows = order[start:start + batch]
+                x = inputs[rows]
+                weights = [theta[segment].reshape(p.shape) for p, segment in segments]
+                cache = self._forward(x, weights)
+                diff = cache[-1][1] - targets[rows]
+                scale = 1.0 / diff.size
+                losses.append(float((diff * diff).sum() * scale))
+                # d(mean(diff * diff)) / d(diff), formed as the tape forms it.
+                grad = scale * diff
+                _, grads = self._vjp(x, cache, weights, grad + grad, need, False)
+                theta = optimizer.step_flat(theta, np.concatenate([g.ravel() for g in grads]))
+            last_loss = float(np.mean(losses))
+        for param, segment in segments:
+            param.data = theta[segment].reshape(param.shape).copy()
+        return last_loss

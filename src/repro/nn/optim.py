@@ -44,7 +44,15 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
+    """Adam (Kingma & Ba, 2015) with bias correction.
+
+    The first/second-moment state lives in two flat buffers laid out in
+    parameter order.  :meth:`step` updates each parameter that has a
+    ``.grad`` against its segment of the buffers (a parameter without one
+    keeps its value and moments); :meth:`step_flat` updates every parameter
+    at once from flattened values and gradients.  Both go through
+    :meth:`_update`, so the arithmetic is the same.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
@@ -52,24 +60,40 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        sizes = [p.size for p in self.params]
+        ends = np.cumsum(sizes, dtype=int)
+        #: each parameter's slice of the flat buffers (and of ``step_flat``'s vectors)
+        self.segments = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        self._m = np.zeros(sum(sizes))
+        self._v = np.zeros_like(self._m)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for param, m, v in zip(self.params, self._m, self._v):
+        for param, segment in zip(self.params, self.segments):
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            theta = self._update(param.data.ravel(), param.grad.ravel(), segment)
+            param.data = theta.reshape(param.shape)
+
+    def step_flat(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One step for all parameters, flattened and concatenated in order.
+
+        Returns the updated flat values; the parameters themselves are not
+        touched.
+        """
+        self._t += 1
+        return self._update(theta, grad, slice(None))
+
+    def _update(self, theta: np.ndarray, grad: np.ndarray, segment: slice) -> np.ndarray:
+        m = self._m[segment]
+        v = self._v[segment]
+        if self.weight_decay:
+            grad = grad + self.weight_decay * theta
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        m_hat = m / (1.0 - self.beta1**self._t)
+        v_hat = v / (1.0 - self.beta2**self._t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

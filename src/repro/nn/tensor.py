@@ -15,6 +15,8 @@ convention (zero outside the active range).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["Tensor", "concatenate", "maximum", "minimum", "where"]
@@ -292,7 +294,10 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
-        count = self.size if axis is None else self.shape[axis]
+        if axis is None:
+            count = self.size
+        else:
+            count = math.prod(self.shape[a] for a in np.atleast_1d(axis))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # ------------------------------------------------------------------

@@ -35,6 +35,20 @@ class TestCritic:
         with pytest.raises(ValueError):
             critic.fit(np.zeros((4, 5)), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("inputs, targets", [
+        (np.zeros((0, 6)), np.zeros((0, 2))),
+        (np.zeros((4, 6)), np.zeros((3, 2))),
+        (np.full((4, 6), np.nan), np.zeros((4, 2))),
+        (np.zeros((4, 6)), np.array([[0.0, 1.0]] * 3 + [[np.inf, 1.0]])),
+        (np.zeros((4, 6)), np.array([[0.0, 1.0]] * 3 + [[np.nan, 1.0]])),
+    ], ids=["empty", "row-mismatch", "nan-input", "inf-target", "nan-target"])
+    def test_fit_rejects_empty_or_non_finite_rows(self, inputs, targets):
+        critic = Critic(3, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            critic.fit(inputs, targets)
+        with pytest.raises(RuntimeError):
+            critic.predict(np.zeros((1, 3)), np.zeros((1, 3)))
+
     def test_forward_tensor_matches_predict(self):
         from repro.nn import Tensor
 

@@ -118,3 +118,25 @@ def test_sequential_composes():
     net = Sequential(Linear(2, 4, rng=rng), Tanh(), Linear(4, 1, rng=rng))
     out = net(Tensor(np.zeros((5, 2))))
     assert out.shape == (5, 1)
+
+
+def test_adam_skips_parameter_without_grad():
+    """A parameter with ``grad is None`` keeps its value and its moments."""
+    lr, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([[0.5, 3.0]]), requires_grad=True)
+    optimizer = Adam([a, b], lr=lr, betas=(beta1, beta2), eps=eps)
+    b_before = b.data.copy()
+    a.grad = np.array([0.3, -0.7])
+    optimizer.step()
+    np.testing.assert_array_equal(b.data, b_before)
+    assert not np.array_equal(a.data, [1.0, -2.0])
+
+    # b's first gradient arrives at step 2: its moments must start from zero.
+    grad = np.array([[0.2, -0.4]])
+    a.grad = np.array([0.1, 0.1])
+    b.grad = grad
+    optimizer.step()
+    m_hat = ((1.0 - beta1) * grad) / (1.0 - beta1**2)
+    v_hat = ((1.0 - beta2) * grad**2) / (1.0 - beta2**2)
+    np.testing.assert_array_equal(b.data, b_before - lr * m_hat / (np.sqrt(v_hat) + eps))

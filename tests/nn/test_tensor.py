@@ -172,3 +172,15 @@ def test_diamond_graph_gradient():
     b = x * 5.0
     ((a + b) * a).backward()  # f = (2x+5x)*2x = 14 x^2, f' = 28x
     np.testing.assert_allclose(x.grad, [28.0 * 3.0])
+
+
+@pytest.mark.parametrize("axis", [(0, 1), (0, 2), (-1, 0)])
+def test_mean_over_axis_tuple(axis):
+    data = RNG.normal(size=(2, 3, 4))
+    x = Tensor(data, requires_grad=True)
+    out = x.mean(axis=axis)
+    np.testing.assert_allclose(out.data, data.mean(axis=axis), rtol=1e-14)
+    out.sum().backward()
+    count = data.size // out.size
+    np.testing.assert_allclose(x.grad, np.full(data.shape, 1.0 / count), rtol=1e-14)
+    check_gradient(lambda t: t.mean(axis=axis), data)
