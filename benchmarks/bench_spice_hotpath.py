@@ -8,14 +8,19 @@ stamping plans ("after").  Alongside wall-clock sims/sec it reports Newton
 iterations/sec and AC solves/sec from the process-global hot-path counters
 (:mod:`repro.spice.profile`), plus the per-sim assemble/solve split.
 
+A third entry, ``strongarm_latch_b4``, times the latch's design batching:
+four seeded designs' testbench transients run one at a time ("before")
+against the same four as one lock-step batch over a stacked plan
+("after"), and checks that both give bit-identical measurements.
+
     PYTHONPATH=src python benchmarks/bench_spice_hotpath.py            # full
     PYTHONPATH=src python benchmarks/bench_spice_hotpath.py --quick    # CI smoke
 
 Results are written to ``BENCH_spice.json`` (override with ``--out``) so the
 perf trajectory is tracked across PRs.  ``--check BASELINE.json`` turns the
-run into a regression gate: it fails when the measured plan-vs-legacy
-*speedup ratio* drops more than 30% below the committed baseline's ratio.
-The ratio — not absolute sims/sec — is the guarded metric because absolute
+run into a regression gate: it fails when a measured *speedup ratio* drops
+below its floor fraction of the committed baseline's ratio.  The ratio —
+not absolute sims/sec — is the guarded metric because absolute
 throughput varies wildly across host machines while both modes share the
 same host in one run.
 """
@@ -29,6 +34,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from repro.circuits import FoldedCascodeOTA, StrongArmLatch
 from repro.spice import profile, stamping
 
@@ -36,40 +43,50 @@ from repro.spice import profile, stamping
 #: The folded-cascode loop (the acceptance metric) is timing-stable across
 #: repeated runs; the StrongARM entry is one long transient per rep and
 #: shows occasional 1.5x-2.6x swings even on an idle host, so it gets a
-#: looser floor that still catches a real (2x-class) regression.
-REGRESSION_FLOOR = {"folded_cascode": 0.7, "strongarm_latch": 0.5}
+#: looser floor that still catches a real (2x-class) regression; the
+#: batched latch entry shares it.
+REGRESSION_FLOOR = {"folded_cascode": 0.7, "strongarm_latch": 0.5,
+                    "strongarm_latch_b4": 0.5}
+#: designs in the batched latch entry
+LATCH_BATCH = 4
+
+
+def time_runs(simulate, sims: int, reps: int) -> dict:
+    """sims/sec and hot-path counter rates for ``reps`` calls of ``simulate``.
+
+    Each call runs ``sims`` simulations.  ``sims_per_sec`` comes from the
+    *best* rep (classic anti-noise benchmarking: a scheduler hiccup can only
+    slow a rep down, never speed it up), so the CI gate tolerates noisy
+    shared runners; counter rates average over the whole window.
+    """
+    simulate()  # warm-up: page caches, lazy plan build
+    before = profile.snapshot()
+    rep_seconds = []
+    for _ in range(reps):
+        t0 = perf_counter()
+        simulate()
+        rep_seconds.append(perf_counter() - t0)
+    delta = profile.delta(before)
+    elapsed = sum(rep_seconds)
+    best = min(rep_seconds)
+    runs = reps * sims
+    return {
+        "reps": reps,
+        "seconds_per_sim": best / sims,
+        "seconds_per_sim_mean": elapsed / runs,
+        "sims_per_sec": sims / best,
+        "newton_iterations_per_sec": delta["newton_iterations"] / elapsed,
+        "ac_solves_per_sec": delta["ac_solves"] / elapsed,
+        "assemble_s_per_sim": delta["assemble_s"] / runs,
+        "solve_s_per_sim": delta["solve_s"] / runs,
+        "ac_solve_s_per_sim": delta["ac_solve_s"] / runs,
+    }
 
 
 def time_mode(circuit, params: dict, reps: int, mode: str) -> dict:
-    """sims/sec and hot-path counter rates for ``reps`` measure() calls.
-
-    ``sims_per_sec`` comes from the *best* rep (classic anti-noise
-    benchmarking: a scheduler hiccup can only slow a rep down, never speed
-    it up), so the CI gate tolerates noisy shared runners; counter rates
-    average over the whole window.
-    """
+    """:func:`time_runs` of one ``measure()`` call under a stamping mode."""
     with stamping(mode):
-        circuit.measure(params)  # warm-up: page caches, lazy plan build
-        before = profile.snapshot()
-        rep_seconds = []
-        for _ in range(reps):
-            t0 = perf_counter()
-            circuit.measure(params)
-            rep_seconds.append(perf_counter() - t0)
-        delta = profile.delta(before)
-    elapsed = sum(rep_seconds)
-    best = min(rep_seconds)
-    return {
-        "reps": reps,
-        "seconds_per_sim": best,
-        "seconds_per_sim_mean": elapsed / reps,
-        "sims_per_sec": 1.0 / best,
-        "newton_iterations_per_sec": delta["newton_iterations"] / elapsed,
-        "ac_solves_per_sec": delta["ac_solves"] / elapsed,
-        "assemble_s_per_sim": delta["assemble_s"] / reps,
-        "solve_s_per_sim": delta["solve_s"] / reps,
-        "ac_solve_s_per_sim": delta["ac_solve_s"] / reps,
-    }
+        return time_runs(lambda: circuit.measure(params), 1, reps)
 
 
 def bench_circuit(circuit, params: dict, reps: int) -> dict:
@@ -82,6 +99,25 @@ def bench_circuit(circuit, params: dict, reps: int) -> dict:
     }
 
 
+def bench_latch_batch(latch: StrongArmLatch, reps: int) -> dict:
+    """One lock-step transient over ``LATCH_BATCH`` designs vs one each."""
+    problem = latch.problem()
+    X = problem.space.sample(np.random.default_rng(0), LATCH_BATCH)
+    designs = [problem.space.as_dict(problem.space.round(x)) for x in X]
+    before = time_runs(lambda: [latch.simulate_batch([p]) for p in designs],
+                       len(designs), reps)
+    after = time_runs(lambda: latch.simulate_batch(designs), len(designs), reps)
+    alone = [latch.measure(p, **latch.simulate_batch([p])[0]) for p in designs]
+    together = [latch.measure(p, **shared)
+                for p, shared in zip(designs, latch.simulate_batch(designs))]
+    return {
+        "before": before,
+        "after": after,
+        "speedup_sims_per_sec": after["sims_per_sec"] / before["sims_per_sec"],
+        "rows_identical": alone == together,
+    }
+
+
 def run(quick: bool) -> dict:
     fc_reps, latch_reps = (3, 2) if quick else (6, 3)
     results = {
@@ -89,9 +125,10 @@ def run(quick: bool) -> dict:
         "quick": quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "metric_note": ("'speedup_sims_per_sec' (plan vs legacy on one host) is "
-                        "the machine-portable guarded metric; absolute "
-                        "sims/sec values are host-dependent."),
+        "metric_note": ("'speedup_sims_per_sec' (plan vs legacy, or one B=4 "
+                        "lock-step batch vs four scalar transients, on one "
+                        "host) is the machine-portable guarded metric; "
+                        "absolute sims/sec values are host-dependent."),
     }
     fc = FoldedCascodeOTA()
     print(f"folded-cascode evaluation loop ({fc_reps} reps/mode)...", flush=True)
@@ -99,30 +136,40 @@ def run(quick: bool) -> dict:
     latch = StrongArmLatch()
     print(f"StrongARM latch testbench ({latch_reps} reps/mode)...", flush=True)
     results["strongarm_latch"] = bench_circuit(latch, latch.nominal(), latch_reps)
+    print(f"StrongARM latch, {LATCH_BATCH} designs batched vs one at a time "
+          f"({latch_reps} reps/mode)...", flush=True)
+    results["strongarm_latch_b4"] = bench_latch_batch(latch, latch_reps)
     results["speedup"] = results["folded_cascode"]["speedup_sims_per_sec"]
     return results
 
 
 def report(results: dict) -> None:
-    for name in ("folded_cascode", "strongarm_latch"):
+    labels = {"strongarm_latch_b4": (f"{LATCH_BATCH} x B=1", f"B={LATCH_BATCH}")}
+    for name in REGRESSION_FLOOR:
         entry = results[name]
         before, after = entry["before"], entry["after"]
+        was, now = labels.get(name, ("legacy", "plan"))
         print(f"\n{name}:")
-        print(f"  before (legacy): {before['sims_per_sec']:8.2f} sims/s  "
+        print(f"  before ({was}): {before['sims_per_sec']:8.2f} sims/s  "
               f"{before['newton_iterations_per_sec']:10.0f} newton-iters/s  "
               f"{before['ac_solves_per_sec']:8.0f} ac-solves/s")
-        print(f"  after  (plan):   {after['sims_per_sec']:8.2f} sims/s  "
+        print(f"  after  ({now}): {after['sims_per_sec']:8.2f} sims/s  "
               f"{after['newton_iterations_per_sec']:10.0f} newton-iters/s  "
               f"{after['ac_solves_per_sec']:8.0f} ac-solves/s")
         print(f"  speedup: {entry['speedup_sims_per_sec']:.2f}x   "
               f"(assemble {after['assemble_s_per_sim'] * 1e3:.1f} ms/sim, "
               f"solve {after['solve_s_per_sim'] * 1e3:.1f} ms/sim)")
+        if "rows_identical" in entry:
+            print(f"  rows identical: {entry['rows_identical']}")
 
 
 def check_against(results: dict, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text())
     failures = 0
-    for name in ("folded_cascode", "strongarm_latch"):
+    if not results["strongarm_latch_b4"]["rows_identical"]:
+        print("check strongarm_latch_b4: batched rows differ from scalar -> FAIL")
+        failures += 1
+    for name in REGRESSION_FLOOR:
         base = baseline.get(name, {}).get("speedup_sims_per_sec")
         if base is None:
             continue
@@ -143,8 +190,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_spice.json",
                         help="where to write the results JSON")
     parser.add_argument("--check", metavar="BASELINE",
-                        help="fail if the speedup regresses >30%% vs this "
-                             "committed baseline JSON")
+                        help="fail if a speedup regresses below its floor "
+                             "fraction of this committed baseline JSON")
     args = parser.parse_args(argv)
 
     results = run(args.quick)

@@ -57,6 +57,17 @@ class SizingCircuit(ABC):
     def measure(self, params: dict[str, float]) -> dict[str, float]:
         ...
 
+    def simulate_batch(self, designs: list[dict[str, float]]) -> list[dict]:
+        """Simulations shared by a batch of designs, as ``measure`` keywords.
+
+        Returns one ``{keyword: result}`` mapping per design, which
+        :class:`CircuitSizingProblem` passes to that design's ``measure``
+        call.  A result may be the :class:`~repro.spice.errors.SpiceError`
+        its simulation raised; ``measure`` then raises it.  The default
+        shares nothing: every ``measure`` call runs its own testbenches.
+        """
+        return [{} for _ in designs]
+
     def nominal(self) -> dict[str, float]:
         """Designer starting point (mid-range by default)."""
         return {v.name: 0.5 * (v.lower + v.upper) for v in self.variables()}
@@ -94,16 +105,30 @@ class CircuitSizingProblem(OptimizationProblem):
                          name=circuit.name)
         self._metric_order = self.metric_names
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _evaluate(self, x: np.ndarray, simulated: dict | None = None) -> np.ndarray:
         params = self.space.as_dict(x)
         try:
-            measured = self.circuit.measure(params)
+            measured = self.circuit.measure(params, **(simulated or {}))
         except SpiceError as exc:
             raise EvaluationFailure(str(exc)) from exc
         missing = [m for m in self._metric_order if m not in measured]
         if missing:
             raise KeyError(f"{self.circuit.name}: measure() missing metrics {missing}")
         return np.array([measured[m] for m in self._metric_order])
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """Rows for a batch, with the circuit's shared simulations run once.
+
+        ``SizingCircuit.simulate_batch`` runs the batch's shared analyses
+        (the StrongARM latch's transients, in lock-step); ``measure`` is
+        then called once per design on its share, with :meth:`evaluate`'s
+        rounding, failure-row and shape handling per design.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        designs = [self.space.round(x) for x in X]
+        shared = self.circuit.simulate_batch([self.space.as_dict(x) for x in designs])
+        return np.vstack([self._checked_row(self._evaluate, x, simulated)
+                          for x, simulated in zip(designs, shared)])
 
     def measure_dict(self, x: np.ndarray) -> dict[str, float]:
         """Convenience: raw metric mapping for one design vector."""

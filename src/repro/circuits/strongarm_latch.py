@@ -36,7 +36,7 @@ import numpy as np
 from ..problems.base import Objective, Spec, Variable
 from ..spice import Circuit, NMOS_180, PMOS_180, Pulse, transient
 from ..spice.devices.passives import BOLTZMANN, ROOM_TEMPERATURE
-from ..spice.errors import AnalysisError
+from ..spice.errors import AnalysisError, SpiceError
 from ..spice.waveform import crossings
 from .base import SizingCircuit
 
@@ -141,14 +141,25 @@ class StrongArmLatch(SizingCircuit):
     # ------------------------------------------------------------------
     # Testbench
     # ------------------------------------------------------------------
-    def measure(self, params: dict[str, float]) -> dict[str, float]:
-        circuit = self.build(params)
+    def simulate_batch(self, designs: list[dict[str, float]]) -> list[dict]:
+        """The designs' testbench transients, integrated together in lock-step."""
+        t_end = self.clk_delay + self.eval_window + self.reset_window
+        nodeset = {"vdd": self.vdd, "q1": self.vdd, "q2": self.vdd,
+                   "x1": self.vdd, "x2": self.vdd, "von": 0.0, "vop": 0.0}
+        trans = transient([self.build(params) for params in designs],
+                          self.tran_step, t_end, ics=nodeset)
+        return [{"tran": tran} for tran in trans]
+
+    def measure(self, params: dict[str, float], *, tran=None) -> dict[str, float]:
+        """Every Eq. 10 metric; ``tran`` is this design's share of
+        :meth:`simulate_batch` (simulated here when not given)."""
+        if tran is None:
+            tran = self.simulate_batch([params])[0]["tran"]
+        if isinstance(tran, SpiceError):
+            raise tran
         t_eval = self.clk_delay                      # clock rise
         t_reset = self.clk_delay + self.eval_window  # clock fall
         t_end = t_reset + self.reset_window
-        nodeset = {"vdd": self.vdd, "q1": self.vdd, "q2": self.vdd,
-                   "x1": self.vdd, "x2": self.vdd, "von": 0.0, "vop": 0.0}
-        tran = transient(circuit, self.tran_step, t_end, ics=nodeset)
 
         t = tran.t
         diff = tran.diff("q1", "q2")

@@ -124,7 +124,7 @@ def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
     """
     profile = _spice_counters()
     before = profile.snapshot() if profile is not None else None
-    rows = np.vstack([_WORKER_PROBLEM.evaluate(x) for x in X])
+    rows = _WORKER_PROBLEM.evaluate_batch(X)
     deltas = profile.delta(before) if profile is not None else {}
     return rows, {name: value for name, value in deltas.items() if value}
 
@@ -715,25 +715,36 @@ class EvalEngine:
                 self.worker_sim_calls += n_sims
             return rows
         if self.backend == "serial" or len(X) == 1:
-            return np.vstack([problem.evaluate(x) for x in X])
+            return problem.evaluate_batch(X)
         if self.backend == "async":
             return self._async_dispatcher().dispatch(problem, X)
         chunks = np.array_split(X, min(len(X), self.workers))
         chunks = [c for c in chunks if len(c)]
         if self.backend == "thread":
             executor = self._thread_executor()
-            return np.vstack(list(executor.map(
-                lambda chunk: np.vstack([problem.evaluate(x) for x in chunk]),
-                chunks)))
+            return np.vstack(list(executor.map(problem.evaluate_batch, chunks)))
         import multiprocessing as mp
         if mp.current_process().daemon:
             # Daemonic contexts (e.g. fork-pool trial workers) cannot spawn
             # pool children; degrade to the serial loop, same as the trial
             # runner's own fallback.  Results are unchanged either way.
-            return np.vstack([problem.evaluate(x) for x in X])
-        executor = self._process_executor(problem, token)
+            return problem.evaluate_batch(X)
+        while True:
+            executor = self._process_executor(problem, token)
+            try:
+                results = executor.map(_eval_chunk, chunks)
+                break
+            except RuntimeError:
+                # The pool binds one problem, so a concurrent dispatch for
+                # another problem (a corner variant, say) may retire it
+                # between the lookup and map().  Retry on the current pool;
+                # chunks already queued on the retired one run to completion
+                # and are simply not collected.
+                with self._state_lock:
+                    if self._closed or self._executor is executor:
+                        raise
         rows = []
-        for chunk_rows, deltas in executor.map(_eval_chunk, chunks):
+        for chunk_rows, deltas in results:
             rows.append(chunk_rows)
             with self._state_lock:  # overlapping submits fold concurrently
                 for name, value in deltas.items():

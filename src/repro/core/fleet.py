@@ -900,8 +900,8 @@ class FleetCoordinator:
         for job in taken:
             if job.state.aborted() or job.completed:
                 continue
-            rows = [np.asarray(state.problem.evaluate(x), dtype=np.float64)
-                    for x in state.X[job.start:job.stop]]
+            rows = [np.asarray(row, dtype=np.float64) for row in
+                    state.problem.evaluate_batch(state.X[job.start:job.stop])]
             with self._cond:
                 job.completed = True
                 record.n_degraded += len(rows)

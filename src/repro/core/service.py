@@ -264,7 +264,7 @@ class AsyncDispatcher:
         chunks = deque(_chunk_ranges(len(X), self.workers))
 
         def eval_chunk(start: int, stop: int) -> list:
-            return [problem.evaluate(x) for x in X[start:stop]]
+            return list(problem.evaluate_batch(X[start:stop]))
 
         async def puller(loop) -> None:
             while chunks:
@@ -923,9 +923,8 @@ class RemoteDispatcher:
                 _log.warning(
                     "remote evaluation degraded to local for %d design(s) "
                     "(no live workers): %s", len(missing), detail)
-                for i in missing:
-                    out[i] = np.asarray(problem.evaluate(X[i]),
-                                        dtype=np.float64)
+                for i, row in zip(missing, problem.evaluate_batch(X[missing])):
+                    out[i] = np.asarray(row, dtype=np.float64)
                 sims_total += len(missing)
                 # Not state_lock: concurrent dispatches share this counter,
                 # so it lives under the dispatcher-wide lock.

@@ -221,8 +221,12 @@ class OptimizationProblem:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Raw performance row ``[f0, f1..fm]`` for one design (never raises)."""
         x = self.space.round(np.asarray(x, dtype=np.float64).ravel())
+        return self._checked_row(self._evaluate, x)
+
+    def _checked_row(self, evaluate, x: np.ndarray, *args) -> np.ndarray:
+        """``evaluate(x, *args)`` as a validated row, or the failure row."""
         try:
-            row = np.asarray(self._evaluate(x), dtype=np.float64).ravel()
+            row = np.asarray(evaluate(x, *args), dtype=np.float64).ravel()
         except EvaluationFailure:
             return self.failure_vector()
         if row.shape != (1 + self.num_constraints,):
@@ -234,6 +238,12 @@ class OptimizationProblem:
         return row
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """Rows for a batch of designs, each exactly as :meth:`evaluate` gives it.
+
+        Every engine backend dispatches through this method, so a problem
+        that can simulate several designs together overrides it; the rows
+        must not depend on how designs are grouped into batches.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.vstack([self.evaluate(x) for x in X])
 

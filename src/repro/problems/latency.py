@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 __all__ = ["LatencyProblem"]
 
 
 class LatencyProblem:
     """Delegating wrapper that adds fixed per-evaluation latency.
 
-    Everything except :meth:`evaluate` is forwarded to the wrapped problem,
-    so optimizers and engines see an ordinary
+    Everything except :meth:`evaluate`/:meth:`evaluate_batch` is forwarded
+    to the wrapped problem, so optimizers and engines see an ordinary
     :class:`~repro.problems.base.OptimizationProblem`.
     """
 
@@ -36,6 +38,10 @@ class LatencyProblem:
     def evaluate(self, x):
         time.sleep(self._latency_s)
         return self._problem.evaluate(x)
+
+    def evaluate_batch(self, X):
+        """One latency-paying :meth:`evaluate` per design, in order."""
+        return np.vstack([self.evaluate(x) for x in np.atleast_2d(X)])
 
     def __getattr__(self, name):
         if name.startswith("_"):  # keep pickle/copy protocol lookups local

@@ -48,12 +48,14 @@ class CornerVariant(OptimizationProblem):
     """One corner's view of a base problem.
 
     Evaluation applies the corner's netlist transform around the base
-    problem's own ``evaluate`` (rounding, failure handling and shape
-    validation included).  The variant shares the base problem's space
-    object, so canonical design bytes — and therefore engine cache keys
-    *within* a variant — line up with the base; the pickle payload adds the
-    corner, so the engine content fingerprint differs *between* variants
-    and corners never alias in the cache/dedup/disk tiers.
+    problem's own ``evaluate``/``evaluate_batch`` (rounding, failure
+    handling and shape validation included), so a variant's engine batch
+    simulates together just as the base problem's would.  The variant
+    shares the base problem's space object, so canonical design bytes —
+    and therefore engine cache keys *within* a variant — line up with the
+    base; the pickle payload adds the corner, so the engine content
+    fingerprint differs *between* variants and corners never alias in the
+    cache/dedup/disk tiers.
     """
 
     def __init__(self, base: Any, corner: Corner) -> None:
@@ -65,6 +67,10 @@ class CornerVariant(OptimizationProblem):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         with circuit_transform(corner_transform(self.corner)):
             return np.asarray(self.base.evaluate(x), dtype=np.float64)
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        with circuit_transform(corner_transform(self.corner)):
+            return np.asarray(self.base.evaluate_batch(X), dtype=np.float64)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError("CornerVariant overrides evaluate()")
@@ -86,6 +92,11 @@ class MismatchVariant(OptimizationProblem):
         transform = mismatch_transform(self.seed, self.sample, self.mismatch)
         with circuit_transform(transform):
             return np.asarray(self.base.evaluate(x), dtype=np.float64)
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        transform = mismatch_transform(self.seed, self.sample, self.mismatch)
+        with circuit_transform(transform):
+            return np.asarray(self.base.evaluate_batch(X), dtype=np.float64)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError("MismatchVariant overrides evaluate()")

@@ -77,8 +77,8 @@ def _assemble_factory(compiled):
         plan = compiled.plan()
 
         def assemble(x, gmin, source_scale):
-            return plan.assemble_static(x, gmin=gmin, source_scale=source_scale,
-                                        time=None)
+            plan.assemble_static(x, gmin=gmin, source_scale=source_scale, time=None)
+            return plan.systems[0]
 
         return assemble
 

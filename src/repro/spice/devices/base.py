@@ -38,6 +38,10 @@ iteration.  Device authors must uphold:
   classes :class:`MOSFET` and :class:`Diode` run through vectorized batch
   evaluators; any other nonlinear class falls back to its per-device
   ``stamp_static`` (correct, just not vectorized).
+* A plan may stack several topology-identical circuits (one netlist at
+  several sizings).  Fallback devices are then stamped design by design
+  into their own design's slice of the stacked workspace, so the clauses
+  above are all they need to uphold.
 * ``NoiseSource.psd`` must broadcast over an ndarray of frequencies
   (returning a scalar for a flat PSD is fine) — the batched noise analysis
   evaluates the whole grid in one call.

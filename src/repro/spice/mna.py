@@ -6,12 +6,12 @@ Both drop contributions to the ground index ``-1`` so devices never need to
 special-case ground connections.
 
 Workspaces are designed to be *reused*: the compiled stamping plan
-(:mod:`repro.spice.plan`) allocates one :class:`System` per circuit and
-overwrites ``J``/``f`` in place every Newton iteration instead of
-allocating a fresh container, and the AC analyses cache one
-:class:`ACSystem` per operating point (rebuilding only ``rhs``).  Consumers
-must therefore treat a returned workspace as valid only until the next
-assembly call on the same circuit.
+(:mod:`repro.spice.plan`) allocates one stacked ``(B, n, n)`` workspace per
+plan, with one :class:`System` view per design, and overwrites it in place
+every Newton iteration instead of allocating a fresh container, and the AC
+analyses cache one :class:`ACSystem` per operating point (rebuilding only
+``rhs``).  Consumers must therefore treat a returned workspace as valid
+only until the next assembly call on the same plan.
 """
 
 from __future__ import annotations
@@ -22,12 +22,17 @@ __all__ = ["System", "ACSystem"]
 
 
 class System:
-    """Real Newton workspace: Jacobian ``J`` and KCL residual ``f``."""
+    """Real Newton workspace: Jacobian ``J`` and KCL residual ``f``.
 
-    def __init__(self, size: int):
+    ``J``/``f`` may be passed in to make the system a view onto existing
+    storage (one design's slice of a stacked plan workspace).
+    """
+
+    def __init__(self, size: int, J: np.ndarray | None = None,
+                 f: np.ndarray | None = None):
         self.size = size
-        self.J = np.zeros((size, size))
-        self.f = np.zeros(size)
+        self.J = np.zeros((size, size)) if J is None else J
+        self.f = np.zeros(size) if f is None else f
         #: multiplies independent source values during source-stepping homotopy
         self.source_scale = 1.0
         #: simulation time for transient stamps; ``None`` selects the DC value

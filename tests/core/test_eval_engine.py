@@ -201,6 +201,23 @@ def test_process_pool_reused_across_identical_problem_instances():
         assert engine.n_pool_builds == 2  # different content -> rebuild
 
 
+def test_overlapping_dispatches_for_different_problems_on_process_pool():
+    # The pool binds one problem, so overlapping dispatches for different
+    # problems (corner variants of a fan-out, say) retire and rebuild it
+    # under each other.  A dispatch whose pool was retired before it queued
+    # its chunks must retry on the current pool, not fail with "cannot
+    # schedule new futures after shutdown".
+    problems = [Sphere(2 + i) for i in range(4)]
+    rng = np.random.default_rng(0)
+    batches = [problem.space.sample(rng, 4) for problem in problems]
+    expected = [problem.evaluate_batch(X) for problem, X in zip(problems, batches)]
+    with EvalEngine("process", workers=2, cache_size=0) as engine:
+        for _ in range(8):
+            handles = [engine.submit(p, X) for p, X in zip(problems, batches)]
+            for handle, rows in zip(handles, expected):
+                np.testing.assert_array_equal(engine.gather(handle), rows)
+
+
 def test_hotpath_report_nonzero_under_process_backend():
     # Workers ship their per-chunk counter deltas back, so the report no
     # longer silently reads zero when the simulation ran in a pool.

@@ -290,6 +290,29 @@ def test_folded_cascode_fleet_fanout_matches_serial(two_local_servers):
     np.testing.assert_array_equal(serial.F, fleet_history.F)
 
 
+def test_latch_corner_dnnopt_process_backend_matches_serial():
+    # A 3-corner DNN-Opt study at batch 4: each corner variant's engine
+    # batch reaches the process pool's workers as one lock-step transient
+    # batch, and the concurrent per-variant dispatches share (and rebuild)
+    # the pool.  The history must be bit-identical to serial.
+    from repro.circuits import StrongArmLatch
+    from repro.core import DNNOpt
+
+    def run(engine):
+        corners = [Corner("nom"), process_corner("ss", "ss", supply_scale=0.9),
+                   process_corner("ff", "ff", supply_scale=1.1)]
+        problem = CornerProblem(StrongArmLatch().problem(), corners)
+        opt = DNNOpt(problem, 8, 4, batch_size=4, n_init=4, engine=engine)
+        return Study(opt).run()
+
+    serial = run(None)
+    with EvalEngine("process", workers=2) as engine:
+        pooled = run(engine)
+    assert pooled.n_evals == serial.n_evals == 8
+    np.testing.assert_array_equal(serial.X, pooled.X)
+    np.testing.assert_array_equal(serial.F, pooled.F)
+
+
 def test_direct_evaluate_matches_engine_fanout():
     problem = CornerProblem(ldo_problem(), ScenarioSet.typical())
     x = nominal_x(problem)
