@@ -2,14 +2,15 @@
 
 This package replaces PyTorch for the DNN-Opt reproduction: it provides
 reverse-mode automatic differentiation on NumPy arrays, MLP building blocks,
-Adam/SGD optimizers and the losses/scalers the paper's actor-critic needs.
+the Adam optimizer, the MSE loss (the per-op tape reference for the fused
+critic trainer) and the z-score scaler the critic normalizes its targets with.
 """
 
 from .tensor import Tensor, concatenate, maximum, minimum, where
 from .layers import MLP, Identity, LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
-from .optim import SGD, Adam, Optimizer
-from .losses import huber_loss, mae_loss, mse_loss
-from .scaler import MinMaxScaler, StandardScaler
+from .optim import Adam, Optimizer
+from .losses import mse_loss
+from .scaler import StandardScaler
 
 __all__ = [
     "Tensor",
@@ -27,11 +28,7 @@ __all__ = [
     "Sigmoid",
     "Identity",
     "Optimizer",
-    "SGD",
     "Adam",
     "mse_loss",
-    "mae_loss",
-    "huber_loss",
     "StandardScaler",
-    "MinMaxScaler",
 ]

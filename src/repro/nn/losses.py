@@ -1,26 +1,13 @@
-"""Loss functions for :mod:`repro.nn`."""
+"""Loss function for :mod:`repro.nn`."""
 
 from __future__ import annotations
 
 from .tensor import Tensor
 
-__all__ = ["mse_loss", "mae_loss", "huber_loss"]
+__all__ = ["mse_loss"]
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over all elements (Eq. 3 of the paper)."""
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all elements."""
-    return (prediction - target).abs().mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails."""
-    diff = (prediction - target).abs()
-    quadratic = diff.clip(None, delta)
-    linear = diff - quadratic
-    return (quadratic * quadratic * 0.5 + linear * delta).mean()

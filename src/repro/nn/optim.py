@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -24,23 +24,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.lr * param.grad
-            param.data = param.data + velocity
 
 
 class Adam(Optimizer):

@@ -1,15 +1,15 @@
-"""Feature scalers used to condition network inputs/outputs.
+"""Feature scaling used to condition network targets.
 
 DNN-Opt trains its critic on heterogeneous spec values (dB, ns, mW, uV...);
-the optimizer normalizes specs before training and these scalers provide the
-generic machinery (z-score and min-max) with exact inverse transforms.
+the critic z-scores its targets before training and maps predictions back
+through the exact inverse transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -40,34 +40,4 @@ class StandardScaler:
 
     def _check_fitted(self) -> None:
         if self.mean_ is None:
-            raise RuntimeError("scaler is not fitted")
-
-
-class MinMaxScaler:
-    """Per-column scaling onto ``[0, 1]`` with degenerate-column protection."""
-
-    def __init__(self):
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, data: np.ndarray) -> "MinMaxScaler":
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        self.min_ = data.min(axis=0)
-        span = data.max(axis=0) - self.min_
-        self.range_ = np.where(span < 1e-12, 1.0, span)
-        return self
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return (np.asarray(data, dtype=np.float64) - self.min_) / self.range_
-
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
-
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        return np.asarray(data, dtype=np.float64) * self.range_ + self.min_
-
-    def _check_fitted(self) -> None:
-        if self.min_ is None:
             raise RuntimeError("scaler is not fitted")

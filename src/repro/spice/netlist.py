@@ -13,8 +13,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-import networkx as nx
-
 from .devices.base import Device, DeviceIndex
 from .devices.controlled import CCCS, CCVS, VCCS, VCVS
 from .devices.diode import Diode
@@ -143,17 +141,24 @@ class CompiledCircuit:
 
     def check_dc_connectivity(self) -> None:
         """Raise :class:`NetlistError` if any node lacks a DC path to ground."""
-        graph = nx.Graph()
-        graph.add_node(-1)
-        for node_id in self.node_index.values():
-            graph.add_node(node_id)
+        neighbours: dict[int, list[int]] = {
+            node_id: [] for node_id in (-1, *self.node_index.values())}
         for device, idx in zip(self.circuit.devices, self.indices):
             if isinstance(device, _CONDUCTIVE):
-                graph.add_edge(idx.nodes[0], idx.nodes[1])
+                a, b = idx.nodes[:2]
             elif isinstance(device, MOSFET):
-                drain, _, source, _ = idx.nodes
-                graph.add_edge(drain, source)
-        reachable = nx.node_connected_component(graph, -1)
+                a, _, b, _ = idx.nodes  # drain-source channel
+            else:
+                continue
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        reachable = {-1}
+        stack = [-1]
+        while stack:
+            for other in neighbours[stack.pop()]:
+                if other not in reachable:
+                    reachable.add(other)
+                    stack.append(other)
         floating = [name for name, node_id in self.node_index.items()
                     if node_id not in reachable]
         if floating:

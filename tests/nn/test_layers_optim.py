@@ -7,14 +7,10 @@ from repro.nn import (
     MLP,
     Adam,
     Linear,
-    MinMaxScaler,
-    SGD,
     Sequential,
     StandardScaler,
     Tanh,
     Tensor,
-    huber_loss,
-    mae_loss,
     mse_loss,
 )
 
@@ -70,24 +66,10 @@ def test_mlp_fits_linear_function_with_adam():
     assert loss.item() < 1e-3
 
 
-def test_sgd_descends_quadratic():
-    w = Tensor([5.0], requires_grad=True)
-    optimizer = SGD([w], lr=0.1, momentum=0.5)
-    for _ in range(100):
-        loss = (w * w).sum()
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-    assert abs(w.data[0]) < 1e-3
-
-
 def test_losses_basic_values():
     p = Tensor([1.0, 2.0, 3.0])
     t = Tensor([1.0, 2.0, 5.0])
     assert mse_loss(p, t).item() == pytest.approx(4.0 / 3.0)
-    assert mae_loss(p, t).item() == pytest.approx(2.0 / 3.0)
-    # huber: |e|=2, delta=1 -> 0.5 + 1*(2-1) = 1.5 on one element
-    assert huber_loss(p, t, delta=1.0).item() == pytest.approx(1.5 / 3.0)
 
 
 def test_standard_scaler_roundtrip_and_degenerate():
@@ -97,15 +79,6 @@ def test_standard_scaler_roundtrip_and_degenerate():
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(out[:, 1], 0.0)  # constant column -> zeros
     np.testing.assert_allclose(scaler.inverse_transform(out), data)
-
-
-def test_minmax_scaler_unit_range():
-    rng = np.random.default_rng(2)
-    data = rng.normal(size=(20, 3))
-    scaler = MinMaxScaler().fit(data)
-    out = scaler.transform(data)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    np.testing.assert_allclose(scaler.inverse_transform(out), data, atol=1e-12)
 
 
 def test_scaler_unfitted_raises():
