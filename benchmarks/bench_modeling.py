@@ -7,12 +7,19 @@ same data and initial weights:
 
 * ``tape``: the reference path, one tape node per layer op through the
   critic's ``net.net`` modules, ``mse_loss(...).backward()`` and
-  ``Adam.step`` per minibatch;
+  ``Adam.step`` per minibatch, on float32 copies of the weights and data;
 * ``fused``: ``Critic.fit`` itself, i.e. ``MLP.fit_mse`` (fused forward,
-  fused VJP, one flat Adam update per minibatch).
+  fused VJP, one flat Adam update per minibatch, in float32).
 
 Both must end with bit-identical weights and loss; the script fails if they
 do not.
+
+It also times one whole DNN-Opt modeling iteration (pseudo-samples, critic,
+actor and Eq. 8 selection: one ``DNNOpt.ask``) on the folded-cascode problem
+with a 200-row archive told beforehand.  The archive's rows are a seeded
+smooth perturbation of one simulated nominal measurement, so the iteration
+trains on data of realistic scale without simulating 200 designs; its cost
+does not depend on the values.  That time is reported, not guarded.
 
     PYTHONPATH=src python benchmarks/bench_modeling.py            # full
     PYTHONPATH=src python benchmarks/bench_modeling.py --quick    # CI smoke
@@ -35,13 +42,15 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core import Critic, generate_pseudo_samples
+from repro.circuits import FoldedCascodeOTA
+from repro.core import Critic, DNNOpt, generate_pseudo_samples
 from repro.nn import Adam, Tensor, mse_loss
 
 #: fraction of the baseline speedup the measured speedup must retain.
 REGRESSION_FLOOR = 0.6
 
 DIM, OUTPUTS, ARCHIVE, ROWS, SEED = 20, 6, 90, 8000, 0
+ITERATION_ARCHIVE = 200
 
 
 def training_set() -> tuple[np.ndarray, np.ndarray]:
@@ -58,8 +67,11 @@ def fresh_critic() -> Critic:
 
 
 def tape_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """The same training as ``Critic.fit``, one tape node per layer op."""
-    scaled = critic.target_scaler.fit_transform(targets)
+    """The same float32 training as ``Critic.fit``, one tape node per layer op."""
+    scaled = critic.target_scaler.fit_transform(targets).astype(np.float32)
+    inputs = inputs.astype(np.float32)
+    for p in critic.net.parameters():
+        p.data = p.data.astype(np.float32)
     optimizer = Adam(critic.net.parameters(), lr=critic.lr)
     n = len(inputs)
     batch = min(critic.batch_size, n)
@@ -89,6 +101,31 @@ def time_fit(fit, inputs: np.ndarray, targets: np.ndarray, reps: int):
     return min(seconds), loss, [p.data for p in critic.net.parameters()]
 
 
+def iteration_archive() -> tuple[object, np.ndarray, np.ndarray]:
+    """The folded-cascode problem and a seeded 200-row archive ``(X, F)``."""
+    circuit = FoldedCascodeOTA()
+    problem = circuit.problem()
+    nominal = problem.evaluate(np.array([circuit.nominal()[n] for n in problem.space.names]))
+    rng = np.random.default_rng(SEED)
+    X = problem.space.sample_lhs(rng, ITERATION_ARCHIVE)
+    mix = rng.normal(size=(problem.dim, len(nominal)))
+    F = nominal * (1.0 + 0.1 * np.tanh((problem.space.normalize(X) - 0.5) @ mix))
+    return problem, X, F
+
+
+def time_iteration(reps: int) -> float:
+    """Best-of-``reps`` seconds for one ``DNNOpt.ask`` after the archive."""
+    problem, X, F = iteration_archive()
+    seconds = []
+    for _ in range(reps):
+        opt = DNNOpt(problem, ITERATION_ARCHIVE + 1, SEED)
+        opt.tell(X, F)
+        t0 = perf_counter()
+        opt.ask()
+        seconds.append(perf_counter() - t0)
+    return min(seconds)
+
+
 def run(quick: bool) -> dict:
     reps = 2 if quick else 5
     inputs, targets = training_set()
@@ -98,6 +135,9 @@ def run(quick: bool) -> dict:
     fused_s, fused_loss, fused_weights = time_fit(Critic.fit, inputs, targets, reps)
     identical = tape_loss == fused_loss and all(
         np.array_equal(a, b) for a, b in zip(tape_weights, fused_weights))
+    print(f"DNN-Opt modeling iteration, folded-cascode, {ITERATION_ARCHIVE}-row archive "
+          f"({reps} reps)...", flush=True)
+    iteration_s = time_iteration(reps)
     return {
         "benchmark": "bench_modeling",
         "quick": quick,
@@ -116,6 +156,12 @@ def run(quick: bool) -> dict:
         },
         "bit_identical": identical,
         "speedup": tape_s / fused_s,
+        "modeling_iteration": {
+            "problem": "folded_cascode",
+            "archive_rows": ITERATION_ARCHIVE,
+            "reps": reps,
+            "seconds": iteration_s,
+        },
     }
 
 
@@ -124,6 +170,7 @@ def report(results: dict) -> None:
     print(f"  tape : {fit['tape_s']:.3f} s")
     print(f"  fused: {fit['fused_s']:.3f} s")
     print(f"  speedup: {results['speedup']:.2f}x   bit-identical: {results['bit_identical']}")
+    print(f"  modeling iteration: {results['modeling_iteration']['seconds']:.3f} s")
 
 
 def check_against(results: dict, baseline_path: Path) -> int:

@@ -10,7 +10,9 @@ and a hand-written vector-Jacobian product (VJP) for the whole
 Linear+activation stack.  Each activation module therefore carries its own
 ``apply``/``vjp`` pair next to the per-op :class:`Tensor` method it mirrors;
 the fused kernel reproduces the per-op tape's arithmetic operation for
-operation, so both give bit-identical values and gradients.
+operation, so both give bit-identical values and gradients, in float64 and
+in float32 alike (each piece follows the dtype of the arrays it receives).
+:meth:`MLP.fit_mse` trains in float32; everything else runs in float64.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class Linear(Module):
 
 
 # Each activation's ``apply(z)`` and ``vjp(grad, z, a)`` (``a = apply(z)``)
-# repeat the arithmetic of the Tensor method its ``forward`` calls.
+# repeat the arithmetic of the Tensor method its ``forward`` calls, in the
+# dtype of the arrays they receive (Python-float constants never promote).
 
 
 class ReLU(Module):
@@ -129,7 +132,7 @@ class LeakyReLU(Module):
         return np.where(z > 0.0, z, self.slope * z)
 
     def vjp(self, grad: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return grad * np.where(z > 0.0, 1.0, self.slope)
+        return np.where(z > 0.0, grad, grad * self.slope)
 
 
 class Tanh(Module):
@@ -287,21 +290,26 @@ class MLP(Module):
 
     def fit_mse(self, inputs: np.ndarray, targets: np.ndarray, *, lr: float, epochs: int,
                 batch_size: int, rng: np.random.Generator) -> float:
-        """Minibatch Adam on the mean squared error, off the autograd tape.
+        """Minibatch Adam on the mean squared error, in float32, off the autograd tape.
 
-        Each epoch visits the rows in ``rng.permutation`` order, ``batch_size``
-        at a time.  Per minibatch: fused forward, MSE gradient, fused VJP and
-        one :meth:`Adam.step_flat` over all parameters, with activations kept
-        for that minibatch only.  The result is bit-identical to training
-        with ``mse_loss(self(x), y).backward()`` and :meth:`Adam.step`.
-        Returns the mean minibatch loss of the last epoch.
+        Inputs, targets, the flat parameter vector and the Adam moments are
+        cast to float32 once; the parameters are written back as float64
+        (an exact upcast) at the end.  Each epoch visits the rows in
+        ``rng.permutation`` order, ``batch_size`` at a time.  Per minibatch:
+        fused forward, MSE gradient, fused VJP and one :meth:`Adam.step_flat`
+        over all parameters, with activations kept for that minibatch only.
+        The result is bit-identical to training float32 copies of the
+        parameters with ``mse_loss(self(x), y).backward()`` and
+        :meth:`Adam.step` on float32 data.  Returns the mean minibatch loss
+        of the last epoch.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
+        inputs = np.asarray(inputs, dtype=np.float32)
+        targets = np.asarray(targets, dtype=np.float32)
         params = self._weights()
-        optimizer = Adam(params, lr=lr)
+        # Adam keeps its moments in the dtype of the tensors it is given.
+        optimizer = Adam([Tensor(p.data.astype(np.float32)) for p in params], lr=lr)
         segments = list(zip(params, optimizer.segments))
-        theta = np.concatenate([p.data.ravel() for p in params])
+        theta = np.concatenate([p.data.ravel() for p in optimizer.params])
         need = [True] * len(params)
         n = len(inputs)
         batch = min(batch_size, n)
@@ -323,5 +331,5 @@ class MLP(Module):
                 theta = optimizer.step_flat(theta, np.concatenate([g.ravel() for g in grads]))
             last_loss = float(np.mean(losses))
         for param, segment in segments:
-            param.data = theta[segment].reshape(param.shape).copy()
+            param.data = theta[segment].reshape(param.shape).astype(np.float64)
         return last_loss

@@ -34,20 +34,23 @@ class Adam(Optimizer):
     ``.grad`` against its segment of the buffers (a parameter without one
     keeps its value and moments); :meth:`step_flat` updates every parameter
     at once from flattened values and gradients.  Both go through
-    :meth:`_update`, so the arithmetic is the same.
+    :meth:`_update`, so the arithmetic is the same.  The buffers take the
+    parameters' dtype and the hyper-parameters are Python floats, so float32
+    parameters are updated in float32 throughout.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
+        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         sizes = [p.size for p in self.params]
         ends = np.cumsum(sizes, dtype=int)
         #: each parameter's slice of the flat buffers (and of ``step_flat``'s vectors)
         self.segments = [slice(end - size, end) for size, end in zip(sizes, ends)]
-        self._m = np.zeros(sum(sizes))
+        dtype = np.result_type(*(p.data for p in self.params)) if self.params else np.float64
+        self._m = np.zeros(sum(sizes), dtype=dtype)
         self._v = np.zeros_like(self._m)
         self._t = 0
 

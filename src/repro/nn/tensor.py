@@ -11,6 +11,10 @@ maps, the usual activations, element-wise arithmetic with broadcasting,
 clipping (for the FoM of Eq. 4), concatenation (for the critic's ``(x, dx)``
 input) and reductions.  Gradients for clipping use the standard subgradient
 convention (zero outside the active range).
+
+Data is float64, except that float32 data stays float32 (the precision the
+critic trains in), and a constant lifted into an op takes the dtype of the
+tensor it meets, so a float32 graph computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ __all__ = ["Tensor", "concatenate", "maximum", "minimum", "where"]
 
 
 def _as_array(value) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
-    return array
+    """``value`` as a float array: float32 data stays float32, the rest becomes float64."""
+    array = np.asarray(value)
+    if array.dtype == np.float32:
+        return array
+    return array.astype(np.float64, copy=False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -91,8 +98,14 @@ class Tensor:
     # Graph construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _lift(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def _lift(value, like: "Tensor | None" = None) -> "Tensor":
+        """``value`` as a Tensor; a constant takes ``like``'s dtype, so lifting
+        it never changes the precision an op runs in."""
+        if isinstance(value, Tensor):
+            return value
+        if like is None:
+            return Tensor(value)
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
 
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward):
         out = Tensor(data)
@@ -115,7 +128,7 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad)
+            grad = np.asarray(grad, dtype=self.data.dtype)
 
         # Topological order over the dynamic graph.  id() below is pure
         # within-process node identity for the visited set / grad table; the
@@ -162,7 +175,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self)
         data = self.data + other.data
 
         def backward(grad):
@@ -176,7 +189,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self)
         data = self.data - other.data
 
         def backward(grad):
@@ -188,10 +201,10 @@ class Tensor:
         return self._make(data, (self, other), backward)
 
     def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
+        return self._lift(other, self).__sub__(self)
 
     def __mul__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self)
         data = self.data * other.data
 
         def backward(grad):
@@ -205,7 +218,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self)
         data = self.data / other.data
 
         def backward(grad):
@@ -217,7 +230,7 @@ class Tensor:
         return self._make(data, (self, other), backward)
 
     def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
+        return self._lift(other, self).__truediv__(self)
 
     def __neg__(self):
         def backward(grad):
@@ -235,7 +248,7 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def __matmul__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self)
         data = self.data @ other.data
 
         def backward(grad):
@@ -315,7 +328,7 @@ class Tensor:
         data = np.where(self.data > 0.0, self.data, slope * self.data)
 
         def backward(grad):
-            return ((self, grad * np.where(self.data > 0.0, 1.0, slope)),)
+            return ((self, np.where(self.data > 0.0, grad, grad * slope)),)
 
         return self._make(data, (self,), backward)
 
@@ -377,6 +390,14 @@ class Tensor:
 # ----------------------------------------------------------------------
 # Free functions
 # ----------------------------------------------------------------------
+def _lift_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a constant takes the other operand's dtype."""
+    if isinstance(a, Tensor):
+        return a, Tensor._lift(b, a)
+    b = Tensor._lift(b)
+    return Tensor._lift(a, b), b
+
+
 def concatenate(tensors: list[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     tensors = [Tensor._lift(t) for t in tensors]
@@ -398,8 +419,7 @@ def concatenate(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Element-wise maximum; ties route gradient to the first argument."""
-    a = Tensor._lift(a)
-    b = Tensor._lift(b)
+    a, b = _lift_pair(a, b)
     data = np.maximum(a.data, b.data)
     mask = a.data >= b.data
 
@@ -419,8 +439,7 @@ def maximum(a, b) -> Tensor:
 
 def minimum(a, b) -> Tensor:
     """Element-wise minimum; ties route gradient to the first argument."""
-    a = Tensor._lift(a)
-    b = Tensor._lift(b)
+    a, b = _lift_pair(a, b)
     data = np.minimum(a.data, b.data)
     mask = a.data <= b.data
 
@@ -440,8 +459,7 @@ def minimum(a, b) -> Tensor:
 
 def where(condition: np.ndarray, a, b) -> Tensor:
     """Select ``a`` where ``condition`` holds, else ``b`` (condition is constant)."""
-    a = Tensor._lift(a)
-    b = Tensor._lift(b)
+    a, b = _lift_pair(a, b)
     condition = np.asarray(condition, dtype=bool)
     data = np.where(condition, a.data, b.data)
 

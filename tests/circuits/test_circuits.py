@@ -131,6 +131,23 @@ def test_failure_on_convergence_is_penalized():
     assert np.all(np.isfinite(row))
 
 
+@pytest.mark.parametrize("cls", ALL_CIRCUITS)
+def test_bound_extremes_give_finite_or_failure_rows(cls):
+    """Every in-bounds design, however extreme, yields a finite row or the
+    documented failure row: the all-lower and all-upper corners, two seeded
+    random vertices and two seeded random interior designs, as one batch."""
+    problem = cls().problem()
+    space = problem.space
+    rng = np.random.default_rng(ALL_CIRCUITS.index(cls))
+    vertices = np.where(rng.random((2, space.dim)) < 0.5, space.lower, space.upper)
+    X = np.vstack([space.lower, space.upper, vertices, space.sample(rng, 2)])
+    rows = problem.evaluate_batch(X)
+    assert rows.shape == (len(X), 1 + problem.num_constraints)
+    # A failed simulation comes back as failure_vector(), which is finite.
+    assert np.isfinite(problem.failure_vector()).all()
+    assert np.isfinite(rows).all()
+
+
 def test_circuit_problem_is_deterministic():
     problem = CTLE().problem()
     x = np.array([CTLE().nominal()[n] for n in problem.space.names])

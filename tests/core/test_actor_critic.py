@@ -63,6 +63,44 @@ class TestCritic:
         via_tensor = critic.forward_tensor(Tensor(np.concatenate([x, dx], axis=1))).data
         np.testing.assert_allclose(via_predict, via_tensor, atol=1e-10)
 
+    def test_same_seed_fits_are_bit_identical(self):
+        X, Y = quadratic_data(n=30, seed=9)
+        inputs, targets = generate_pseudo_samples(X, Y, rng=np.random.default_rng(9),
+                                                  max_pairs=900)
+        first, second = (Critic(2, 2, epochs=5, rng=np.random.default_rng(10))
+                         for _ in range(2))
+        assert first.fit(inputs, targets) == second.fit(inputs, targets)
+        for a, b in zip(first.net.state_dict(), second.net.state_dict()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_float32_training_leaves_float64_parameters_and_predictions(self):
+        X, Y = quadratic_data(n=20, seed=11)
+        rng = np.random.default_rng(11)
+        inputs, targets = generate_pseudo_samples(X, Y, rng=rng, max_pairs=400)
+        critic = Critic(2, 2, epochs=3, rng=rng)
+        critic.fit(inputs, targets)
+        assert all(p.data.dtype == np.float64 for p in critic.net.parameters())
+        assert critic.predict(X[:4], np.zeros((4, 2))).dtype == np.float64
+        assert critic.net.predict(inputs[:4]).dtype == np.float64
+
+    def test_archive_with_failure_rows_predicts_finite(self):
+        """Failure rows put z-scored targets far out; float32 training must
+        still give a finite critic."""
+        from repro.problems import ConstrainedSphere
+
+        problem = ConstrainedSphere(3)
+        rng = np.random.default_rng(12)
+        X = problem.space.sample(rng, 30)
+        F = np.vstack([problem.evaluate(x) for x in X])
+        F[::5] = problem.failure_vector()
+        Xn, Yn = problem.space.normalize(X), problem.normalize(F)
+        inputs, targets = generate_pseudo_samples(Xn, Yn, rng=rng, max_pairs=900)
+        critic = Critic(3, Yn.shape[1], epochs=5, rng=rng)
+        assert np.isfinite(critic.fit(inputs, targets))
+        anchors = rng.uniform(size=(20, 3))
+        prediction = critic.predict(anchors, rng.uniform(-0.5, 0.5, size=(20, 3)))
+        assert np.isfinite(prediction).all()
+
     def test_pseudo_samples_improve_displaced_prediction(self):
         """The paper's claim: the 2d critic predicts f(x + dx) better than a
         d-input net evaluated at x (which cannot see the displacement)."""

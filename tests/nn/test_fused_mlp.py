@@ -26,7 +26,16 @@ def inputs(rows=11, features=3, seed=1):
 
 
 def tape_fit_mse(mlp, x, y, *, lr, epochs, batch_size, rng):
-    """Reference trainer: per-op tape forward, ``mse_loss``, ``Adam.step``."""
+    """Reference trainer: per-op tape forward, ``mse_loss``, ``Adam.step``.
+
+    Like ``fit_mse`` it trains in float32: the parameters and data are cast
+    once, and the tape, the lifted constants and Adam's moments follow their
+    dtype.  ``mlp``'s parameters are left float32.
+    """
+    for p in mlp.parameters():
+        p.data = p.data.astype(np.float32)
+    x = np.asarray(x, dtype=np.float32)
+    y = np.asarray(y, dtype=np.float32)
     optimizer = Adam(mlp.parameters(), lr=lr)
     n = len(x)
     batch = min(batch_size, n)
@@ -102,6 +111,7 @@ def test_fit_mse_matches_tape_training(activation):
     expected = tape_fit_mse(reference, x, y, rng=np.random.default_rng(4), **kwargs)
     assert loss == expected
     for got, want in zip(fused.parameters(), reference.parameters()):
+        assert (got.data.dtype, want.data.dtype) == (np.float64, np.float32)
         np.testing.assert_array_equal(got.data, want.data)
 
 

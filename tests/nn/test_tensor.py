@@ -34,7 +34,7 @@ def check_gradient(op, x_data, atol=1e-5):
 RNG = np.random.default_rng(42)
 
 
-@pytest.mark.parametrize("op", [
+ELEMENTWISE_OPS = [
     lambda x: x + 3.0,
     lambda x: 3.0 - x,
     lambda x: x * 2.5,
@@ -59,12 +59,38 @@ RNG = np.random.default_rng(42)
     lambda x: x.reshape(6, 2),
     lambda x: x.T,
     lambda x: x[1:, :2],
-])
+]
+
+
+@pytest.mark.parametrize("op", ELEMENTWISE_OPS)
 def test_elementwise_gradients(op):
     data = RNG.normal(0.0, 1.0, size=(3, 4))
     # keep away from clip/relu kinks where FD is ill-defined
     data = data + 0.01 * np.sign(data)
     check_gradient(op, data)
+
+
+@pytest.mark.parametrize("op", ELEMENTWISE_OPS + [
+    lambda x: maximum(x, 0.0),
+    lambda x: minimum(0.0, x),
+    lambda x: where(x.data > 0.0, x, 1.0),
+    lambda x: x @ np.ones((4, 2)),
+])
+def test_float32_stays_float32(op):
+    """Float32 data keeps its dtype through every op and its backward, and a
+    lifted constant takes the tensor's dtype instead of promoting it."""
+    data = np.random.default_rng(0).normal(0.0, 1.0, size=(3, 4)).astype(np.float32)
+    x = Tensor(data, requires_grad=True)
+    y = op(x)
+    assert y.data.dtype == np.float32
+    (y.sum() if y.size > 1 else y).backward()
+    assert x.grad.dtype == np.float32
+
+
+def test_float64_and_other_inputs_become_float64():
+    assert Tensor([1, 2]).data.dtype == np.float64
+    assert Tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
+    assert (Tensor(np.ones(2)) * np.ones(2, dtype=np.float32)).data.dtype == np.float64
 
 
 def test_log_gradient():
