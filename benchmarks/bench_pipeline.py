@@ -9,7 +9,7 @@ Two measurements:
 * **latency-modeled** (guarded) — a proposer that sleeps ``--ask-latency``
   per batch (standing in for actor/critic retraining) over a problem that
   sleeps ``--latency`` per evaluation (the external-simulator model), on the
-  async backend.  Both sides are wait-bound, so the measured *ratio* is
+  thread backend.  Both sides are wait-bound, so the measured *ratio* is
   machine-portable, like ``BENCH_service.json``; the ideal is 2.0x when the
   two latencies match.
 * **DNN-Opt** (reported, not guarded) — the real optimizer with its real
@@ -86,7 +86,7 @@ def time_study(make_optimizer, make_engine, depth: int):
 
 def run(args) -> dict:
     problem = LatencyProblem(Sphere(6), args.latency / 1e3)
-    make_engine = lambda: EvalEngine("async", workers=args.batch, cache_size=0)
+    make_engine = lambda: EvalEngine("thread", workers=args.batch, cache_size=0)
 
     # -- latency-modeled proposer (the guarded, portable ratio) ------------
     make_proposer = lambda engine: SlowProposer(
@@ -165,7 +165,7 @@ if __name__ == "__main__":
     parser.add_argument("--budget", type=int, default=64,
                         help="simulations per latency-modeled study")
     parser.add_argument("--batch", type=int, default=8,
-                        help="designs per ask batch (= async pool size)")
+                        help="designs per ask batch (= thread pool size)")
     parser.add_argument("--latency", type=float, default=60.0,
                         help="modeled per-evaluation latency in ms")
     parser.add_argument("--ask-latency", type=float, default=60.0,

@@ -1,8 +1,8 @@
 """Dispatch benchmark for the evaluation-service backends.
 
 Times one large de-duplicated batch (the engine's post-cache hot path)
-through ``serial``, ``thread``, ``async`` and ``remote`` (2 locally-spawned
-worker server processes) on a latency-modeled problem: each evaluation
+through ``serial``, ``thread`` and ``remote`` (2 locally-spawned worker
+server processes) on a latency-modeled problem: each evaluation
 sleeps ``--latency`` ms before computing, the external-simulator model
 (license queue, subprocess SPICE, simulation farm RPC) where dispatch
 overlap — not CPU count — sets the speedup.  That makes the measured
@@ -14,9 +14,9 @@ overlap — not CPU count — sets the speedup.  That makes the measured
 Results are written to ``BENCH_service.json`` (override with ``--out``) so
 the dispatch-efficiency trajectory is tracked across PRs.  ``--check
 BASELINE.json`` turns the run into a regression gate: it fails when the
-measured async-vs-serial or remote-vs-serial speedup drops more than 40%
+measured thread-vs-serial or remote-vs-serial speedup drops more than 40%
 below the committed baseline's — a dispatcher that stops overlapping the
-waits (lost work stealing, serialized chunks) shows up immediately.
+waits (serialized chunks) shows up immediately.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def run(args) -> dict:
         backends = {
             "serial": lambda: EvalEngine("serial"),
             "thread": lambda: EvalEngine("thread", workers=args.workers),
-            "async": lambda: EvalEngine("async", workers=args.workers),
             "remote": lambda: EvalEngine("remote", hosts=hosts),
         }
         results: dict[str, float] = {}
@@ -97,7 +96,6 @@ def run(args) -> dict:
                 proc.kill()
 
     speedup = {
-        "async_vs_serial": round(results["serial_s"] / results["async_s"], 3),
         "remote_vs_serial": round(results["serial_s"] / results["remote_s"], 3),
         "thread_vs_serial": round(results["serial_s"] / results["thread_s"], 3),
     }
@@ -121,7 +119,7 @@ def check(report: dict, baseline_path: str) -> int:
     failures = []
     if not report["identical"]:
         failures.append("backends disagreed on the evaluated rows")
-    for name in ("async_vs_serial", "remote_vs_serial"):
+    for name in ("thread_vs_serial", "remote_vs_serial"):
         floor = REGRESSION_FLOOR * baseline["speedup"][name]
         got = report["speedup"][name]
         status = "ok" if got >= floor else "REGRESSION"
@@ -143,7 +141,7 @@ if __name__ == "__main__":
     parser.add_argument("--latency", type=float, default=20.0,
                         help="modeled per-evaluation latency in ms")
     parser.add_argument("--workers", type=int, default=8,
-                        help="thread/async pool size")
+                        help="thread pool size")
     parser.add_argument("--shards", type=int, default=2,
                         help="local worker server processes for remote")
     parser.add_argument("--reps", type=int, default=2,

@@ -4,14 +4,14 @@ Every optimizer in this package funnels its simulator queries through an
 :class:`EvalEngine`.  The engine owns two orthogonal concerns:
 
 * **dispatch** — how a batch of designs is turned into performance rows.
-  Five backends are provided: ``serial`` (in-process loop, the default),
+  Four backends are provided: ``serial`` (in-process loop, the default),
   ``thread`` (a :class:`~concurrent.futures.ThreadPoolExecutor`; useful when
   the simulator releases the GIL or blocks on I/O), ``process`` (a process
-  pool; true CPU parallelism for the pure-python SPICE engine), ``async``
-  (an asyncio dispatcher with bounded concurrency and work-stealing
-  chunking — see :mod:`repro.core.service`), and ``remote`` (a coordinator
-  speaking a length-prefixed JSON socket protocol to worker server
-  processes on one or many hosts).
+  pool; true CPU parallelism for the pure-python SPICE engine), and
+  ``remote`` (a private, single-tenant
+  :class:`~repro.core.fleet.FleetCoordinator` pinned to worker server
+  processes on one or many hosts, speaking the length-prefixed JSON socket
+  protocol of :mod:`repro.core.service`).
 * **memoization** — a content-hashed LRU cache keyed on the *canonical*
   design vector bytes (``DesignSpace.canonical``: rounded, signed zeros
   normalized), so re-querying an already-simulated sizing (duplicates from
@@ -103,7 +103,7 @@ def _spice_counters():
         return None
     return profile
 
-BACKENDS = ("serial", "thread", "process", "async", "remote")
+BACKENDS = ("serial", "thread", "process", "remote")
 
 # Problem handed to process-pool workers through the initializer (or, under
 # fork, inherited directly from the parent's memory at pool creation).
@@ -165,7 +165,7 @@ class EvalEngine:
     Parameters
     ----------
     backend:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"async"`` | ``"remote"``.
+        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"remote"``.
     workers:
         Pool size for the parallel backends (default: visible CPU count).
     cache_size:
@@ -188,9 +188,8 @@ class EvalEngine:
     dispatcher:
         A pre-built remote-style dispatcher — any object with
         ``dispatch(problem, token, X) -> (rows, counters, n_sims)`` and
-        ``close()`` — used *instead of* constructing a
-        :class:`~repro.core.service.RemoteDispatcher` from ``hosts``.
-        Implies ``backend="remote"``.  This is how
+        ``close()`` — used *instead of* the private fleet built from
+        ``hosts``.  Implies ``backend="remote"``.  This is how
         :meth:`~repro.core.fleet.FleetCoordinator.engine` hands each tenant
         a standard engine whose misses flow through the shared fleet
         scheduler; closing the engine closes (detaches) only the injected
@@ -199,14 +198,14 @@ class EvalEngine:
         Per-design deadline (seconds) for the ``remote`` backend: a chunk
         of ``n`` designs must be answered within ``chunk_timeout * n``
         seconds or the worker is treated as hung — a retryable transport
-        failure under the bounded failover budget, surfacing as
-        :class:`~repro.core.service.ServiceError` (never an indefinite
-        hang) once every host is exhausted.  ``None`` (default) reads the
+        failure (the host is quarantined, the chunk re-queued), surfacing
+        as :class:`~repro.core.service.ServiceError` (never an indefinite
+        hang) once every host has failed.  ``None`` (default) reads the
         ``REPRO_CHUNK_TIMEOUT`` environment variable; unset means no
         deadline (simulations may legitimately take minutes).
     degraded:
         ``"local"`` opts the ``remote`` backend into graceful degradation:
-        with zero live workers, missing rows are evaluated in-process
+        once every host has failed, missing rows are evaluated in-process
         (logged and counted) instead of raising.  Default ``None`` keeps
         the strict fail-fast behaviour.
 
@@ -267,7 +266,6 @@ class EvalEngine:
         self._anon_tokens = count()
         self._executor = None          # guarded by: _state_lock
         self._executor_token: bytes | None = None  # pool's problem; guarded by: _state_lock
-        self._async = None             # guarded by: _state_lock
         self._remote = dispatcher      # guarded by: _state_lock
         # Non-blocking submit/gather machinery: a small thread pool runs the
         # dispatches, ``_inflight`` maps each pending design's cache key to
@@ -289,6 +287,12 @@ class EvalEngine:
         # per-chunk deltas their workers report back.
         self.dispatch_seconds = 0.0                   # guarded by: _state_lock
         self.phase_counters: dict[str, float] = {}    # guarded by: _state_lock
+        if backend == "remote" and dispatcher is None:
+            # A private, single-tenant fleet pinned to ``hosts``: it starts
+            # connecting now and closes with the engine.
+            from .fleet import private_fleet
+            self._remote = private_fleet(self.hosts, chunk_timeout=chunk_timeout,
+                                         degraded=degraded)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -310,11 +314,8 @@ class EvalEngine:
         # deadlock.
         with self._state_lock:
             self._closed = True
-            async_d, self._async = self._async, None
             remote, self._remote = self._remote, None
             submit, self._submit_executor = self._submit_executor, None
-        if async_d is not None:
-            async_d.close()
         if remote is not None:
             remote.close()
         if submit is not None:
@@ -716,8 +717,6 @@ class EvalEngine:
             return rows
         if self.backend == "serial" or len(X) == 1:
             return problem.evaluate_batch(X)
-        if self.backend == "async":
-            return self._async_dispatcher().dispatch(problem, X)
         chunks = np.array_split(X, min(len(X), self.workers))
         chunks = [c for c in chunks if len(c)]
         if self.backend == "thread":
@@ -789,24 +788,10 @@ class EvalEngine:
             # another thread may have built the new pool meanwhile.
             stale.shutdown(wait=True)
 
-    def _async_dispatcher(self):
-        with self._state_lock:
-            if self._async is None:
-                if self._closed:
-                    raise RuntimeError("EvalEngine is closed")
-                from .service import AsyncDispatcher
-                self._async = AsyncDispatcher(self.workers)
-            return self._async
-
     def _remote_dispatcher(self):
         with self._state_lock:
             if self._remote is None:
-                if self._closed:
-                    raise RuntimeError("EvalEngine is closed")
-                from .service import RemoteDispatcher
-                self._remote = RemoteDispatcher(self.hosts,
-                                                chunk_timeout=self.chunk_timeout,
-                                                degraded=self.degraded)
+                raise RuntimeError("EvalEngine is closed")
             return self._remote
 
     # -- hot-path reporting ------------------------------------------------

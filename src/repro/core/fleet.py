@@ -1,17 +1,19 @@
 """Multi-tenant evaluation control plane: registry, fair scheduler, fleet.
 
-:mod:`repro.core.service` gives one Study a static list of worker hosts.
-This module is the control plane above it — the piece that lets *many*
-concurrent Studies (tenants) share one *elastic* worker fleet, the
-industrial pattern behind DNN-Opt's deployment story (many sizing runs
-against one simulator farm):
+:mod:`repro.core.service` provides the worker servers and the wire
+protocol.  This module is the one dispatch path above them — the piece
+that lets *many* concurrent Studies (tenants) share one *elastic* worker
+fleet, the industrial pattern behind DNN-Opt's deployment story (many
+sizing runs against one simulator farm).  ``EvalEngine("remote",
+hosts=[...])`` is its smallest case: a private coordinator pinned to
+``hosts`` with one tenant (:func:`private_fleet`).
 
 * :class:`WorkerRegistry` — a heartbeat-refreshed table of live worker
   addresses.  Workers started with ``python -m repro.core.service
   --register HOST:PORT`` announce themselves and keep a heartbeat alive;
   an address whose heartbeats stop **ages out** and its in-flight chunks
-  are re-queued.  Addresses may also be pinned statically (the old
-  ``hosts=`` behaviour) for fixed deployments.
+  are re-queued.  Addresses may also be pinned statically (``hosts=``)
+  for fixed deployments.
 * :class:`RegistryServer` — the TCP endpoint workers register against,
   speaking the same length-prefixed JSON frames as the evaluation
   protocol.  It doubles as the fleet's **metrics endpoint**: a ``stats``
@@ -29,15 +31,18 @@ against one simulator farm):
   :class:`~repro.core.service.MultiplexedConnection`, so one worker
   connection interleaves many tenants' requests.
 
-Elasticity and failure semantics follow the service's bounded-failover
-contract: a transport error (or a heartbeat age-out) drops the host,
-re-queues its chunks for the survivors, and counts against a bounded
-per-chunk requeue budget — so losing a worker mid-run is absorbed with
-bit-identical results, while losing *every* worker surfaces as a prompt
-:class:`~repro.core.service.ServiceError` with the failure trail.  A
-worker's own *rejection* of a well-formed request (the evaluation raised)
-aborts only the affected dispatch — deterministic failures are never
-retried onto other shards.
+Elasticity and failure semantics follow a bounded-failover contract: a
+transport error (or a heartbeat age-out) drops the host, re-queues its
+chunks for the survivors, and counts against a bounded per-chunk requeue
+budget — so losing a worker mid-run is absorbed with bit-identical
+results.  A coordinator without a registry server (no :meth:`listen`) is
+served by its pins alone, so once every pin has failed its queued
+dispatches abort at once with a
+:class:`~repro.core.service.ServiceError` carrying the per-host failure
+trail; a failed pin stays pinned and is retried after its quarantine, so
+a restarted worker serves later batches.  A worker's own *rejection* of a
+well-formed request (the evaluation raised) aborts only the affected
+dispatch — deterministic failures are never retried onto other shards.
 
 On top of that contract this module hardens the failure domain:
 ``chunk_timeout`` arms a per-chunk deadline (a worker that accepts a chunk
@@ -48,9 +53,10 @@ deterministic and cache-deduped); failed hosts are quarantined under
 capped exponential backoff with deterministic jitter instead of a fixed
 retry-after; and a tenant created with ``degraded="local"`` falls back to
 bounded in-process evaluation when the fleet has zero live workers for
-``degraded_after`` seconds.  All recovery paths preserve the bit-identity
-contract below and are pinned under seeded fault injection by
-:mod:`repro.core.chaos` (``tests/core/test_chaos.py``).
+``degraded_after`` seconds, or at once when every pin has failed.  All
+recovery paths preserve the bit-identity contract below and are pinned
+under seeded fault injection by :mod:`repro.core.chaos`
+(``tests/core/test_chaos.py``).
 
 Typical wiring::
 
@@ -80,7 +86,9 @@ a lock here, follow the "Adding a lock" checklist in the README.
 
 from __future__ import annotations
 
+import base64
 import logging
+import pickle
 import threading
 import time
 import weakref
@@ -90,9 +98,8 @@ from itertools import count
 import numpy as np
 
 from .history import BudgetExhausted
-from .service import (PROTOCOL_VERSION, MultiplexedConnection, RemoteDispatcher,
-                      ServiceError, _chunk_ranges, backoff_delay, parse_host,
-                      recv_msg, send_msg)
+from .service import (PROTOCOL_VERSION, MultiplexedConnection, ServiceError,
+                      backoff_delay, parse_host, recv_msg, send_msg)
 
 __all__ = ["WorkerRegistry", "RegistryServer", "FleetCoordinator"]
 
@@ -104,7 +111,26 @@ _log = logging.getLogger("repro.core.fleet")
 #: deficit round-robin still serves every queued tenant each ring cycle).
 DEADLINE_BOOST_CAP = 16.0
 
-_EvalRejected = RemoteDispatcher._EvalRejected
+
+class _EvalRejected(Exception):
+    """The worker is healthy but refused the request itself."""
+
+
+def _encode_problem(problem) -> str:
+    """Base64 pickle of ``problem`` for the ``put_problem`` frame."""
+    try:
+        return base64.b64encode(
+            pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
+    except Exception as exc:
+        raise TypeError(
+            f"remote backend requires a picklable problem "
+            f"({type(problem).__name__} failed to pickle: {exc})") from exc
+
+
+def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
+    """Work-stealing chunk bounds: ~``granularity`` chunks per consumer."""
+    size = max(1, n // max(1, n_consumers * granularity))
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +172,11 @@ class WorkerRegistry:
         with self._lock:
             self._seen.pop(address, None)
             self._static.discard(address)
+
+    def pins(self) -> frozenset[str]:
+        """The static addresses, which never age out."""
+        with self._lock:
+            return frozenset(self._static)
 
     def live(self) -> list[str]:
         """Sorted live addresses; prunes (and counts) aged-out entries."""
@@ -291,7 +322,7 @@ class _DispatchState:
         """Base64 problem pickle, encoded lazily once per dispatch."""
         with self._lock:
             if self._blob is None:
-                self._blob = RemoteDispatcher._encode_problem(self.problem)
+                self._blob = _encode_problem(self.problem)
             return self._blob
 
     def aborted(self) -> bool:
@@ -397,18 +428,42 @@ def _deadline_boost(record: _Tenant, now: float) -> float:
 
 
 class _TenantDispatcher:
-    """The remote-style dispatcher injected into a tenant's engine."""
+    """The remote-style dispatcher injected into a tenant's engine.
 
-    def __init__(self, coordinator: "FleetCoordinator", tenant: str):
+    With ``owns_fleet`` (the private coordinator of an
+    ``EvalEngine("remote", hosts=...)``) closing it closes the coordinator.
+    """
+
+    def __init__(self, coordinator: "FleetCoordinator", tenant: str,
+                 owns_fleet: bool = False):
         self._coordinator = coordinator
         self.tenant = tenant
+        self.owns_fleet = owns_fleet
 
     def dispatch(self, problem, token: bytes, X: np.ndarray):
         return self._coordinator._dispatch(self.tenant, problem, token, X)
 
+    @property
+    def n_degraded(self) -> int:
+        """Designs of this tenant evaluated in-process (degraded mode)."""
+        tenants = self._coordinator.stats()["tenants"]
+        return tenants[self.tenant]["degraded_designs"]
+
     def close(self) -> None:
-        """Detach the tenant; the shared fleet stays up."""
+        """Detach the tenant; a shared fleet stays up, a private one closes."""
         self._coordinator._detach(self.tenant)
+        if self.owns_fleet:
+            self._coordinator.close()
+
+
+def private_fleet(hosts, *, chunk_timeout: float | None = None,
+                  degraded: str | None = None) -> _TenantDispatcher:
+    """The dispatcher of ``EvalEngine("remote", hosts=...)``: the only tenant
+    of a private :class:`FleetCoordinator` pinned to ``hosts``, with no
+    registry server, so its pins alone serve it.  Closing the dispatcher
+    closes the coordinator."""
+    fleet = FleetCoordinator(hosts=hosts, chunk_timeout=chunk_timeout)
+    return fleet._attach("remote", degraded=degraded, owns_fleet=True)
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +532,10 @@ class _HostPump:
             except _EvalRejected as exc:
                 # Deterministic rejection: abort only this dispatch, keep
                 # serving — the connection (and the worker) are healthy.
-                coord._job_failed(self, job, f"{self.address}: {exc}",
-                                  fatal=True)
+                coord._job_failed(
+                    self, job,
+                    f"remote evaluation rejected: {self.address}: {exc}",
+                    fatal=True)
                 continue
             except Exception as exc:
                 coord._job_failed(self, job, f"{self.address}: {exc}",
@@ -533,8 +590,12 @@ class FleetCoordinator:
         :class:`RegistryServer` for it with :meth:`listen` so workers can
         ``--register`` themselves.
     hosts:
-        Optional static ``["host:port", ...]`` seed (pinned in the
-        registry; no heartbeats required) — the PR-5 fixed-fleet setup.
+        Optional static ``["host:port", ...]`` pins (no heartbeats
+        required).  A failed pin is quarantined, never dropped, and retried
+        once its quarantine ends.  Without :meth:`listen` the pins are the
+        only workers: once all of them have failed, queued dispatches abort
+        with :class:`ServiceError` (``degraded="local"`` tenants evaluate
+        in-process) instead of waiting.
     heartbeat_timeout:
         Seconds without a heartbeat before a (non-static) worker ages out.
     slots_per_host:
@@ -572,8 +633,8 @@ class FleetCoordinator:
     degraded_after:
         Seconds a dispatch from a ``degraded="local"`` tenant may sit with
         *zero* live workers before its queued chunks are evaluated
-        in-process (default 2.0 s).  Tenants opt in per engine:
-        ``fleet.engine(name, degraded="local")``.
+        in-process (default 2.0 s; no wait once every pin has failed).
+        Tenants opt in per engine: ``fleet.engine(name, degraded="local")``.
 
     Tenants are created with :meth:`engine`; scheduling is weighted deficit
     round-robin at chunk granularity (see module docstring).  The
@@ -620,7 +681,7 @@ class FleetCoordinator:
         self._rr = -1                 # guarded by: _cond
         self._pumps: dict[str, _HostPump] = {}   # guarded by: _cond
         self._quarantine: dict[str, float] = {}  # retry-after per host; guarded by: _cond
-        self._failures: dict[str, int] = {}      # failure streaks; guarded by: _cond
+        self._failures: dict[str, tuple[int, str]] = {}  # streak, last error; guarded by: _cond
         self._running: set[_Job] = set()         # live jobs; guarded by: _cond
         self._latencies: deque[float] = deque(maxlen=512)  # guarded by: _cond
         self._ids = count(1)
@@ -651,6 +712,7 @@ class FleetCoordinator:
         """Pin a static worker address (and forgive an earlier failure)."""
         with self._cond:
             self._quarantine.pop(address, None)
+            self._failures.pop(address, None)
         self.registry.register(address, static=True)
 
     def engine(self, tenant: str | None = None, *, priority: float = 1.0,
@@ -678,6 +740,18 @@ class FleetCoordinator:
         :meth:`stats`.
         """
         from .engine import EvalEngine
+        dispatcher = self._attach(tenant, priority=priority, degraded=degraded,
+                                  quota=quota, deadline_s=deadline_s)
+        engine = EvalEngine(dispatcher=dispatcher, **engine_kwargs)
+        with self._cond:
+            self._tenants[dispatcher.tenant].engine_ref = weakref.ref(engine)
+        return engine
+
+    def _attach(self, tenant: str | None, *, priority: float = 1.0,
+                degraded: str | None = None, quota: int | None = None,
+                deadline_s: float | None = None,
+                owns_fleet: bool = False) -> _TenantDispatcher:
+        """Register a tenant and return the dispatcher that feeds it."""
         if priority <= 0:
             raise ValueError("priority must be > 0")
         if degraded not in (None, "local"):
@@ -700,10 +774,7 @@ class FleetCoordinator:
             self._tenants[name] = record
             if name not in self._order:
                 self._order.append(name)
-        engine = EvalEngine(dispatcher=_TenantDispatcher(self, name),
-                            **engine_kwargs)
-        record.engine_ref = weakref.ref(engine)
-        return engine
+        return _TenantDispatcher(self, name, owns_fleet)
 
     def stats(self) -> dict:
         """Control-plane metrics: queue depth, per-tenant rates, workers."""
@@ -848,27 +919,28 @@ class FleetCoordinator:
             self._cond.notify_all()
         # Elastic by design: with zero live workers the chunks wait for one
         # to register; close() (or a requeue-budget blowout) aborts them.
-        # A degraded="local" tenant additionally falls back to bounded
-        # in-process evaluation once no worker has shown up (or survived)
+        # A coordinator without a registry server is served by its pins
+        # alone: once every pin has failed the chunks abort at once, and a
+        # degraded="local" tenant evaluates them in-process instead.  Such a
+        # tenant also falls back once no worker has shown up (or survived)
         # for ``degraded_after`` seconds.
         idle_since: float | None = None
         while not state.event.wait(0.1):
-            # Unlocked peek at the monotonic closed flag: a stale False only
-            # delays the abort by one 0.1 s poll tick.  # lint: disable=RP02
-            if self._closed:
+            pins = self.registry.pins()
+            with self._cond:
+                closed = self._closed
+                have_workers = bool(self._pumps)
+                trail = self._abort_if_exhausted_locked(pins)
+            if closed:
                 state.abort("fleet coordinator closed")
                 continue
-            if record.degraded != "local":
-                continue
-            with self._cond:
-                have_workers = bool(self._pumps)
-            if have_workers:
+            if record.degraded != "local" or have_workers:
                 idle_since = None
                 continue
             now = time.monotonic()
             if idle_since is None:
                 idle_since = now
-            elif now - idle_since >= self.degraded_after:
+            if trail is not None or now - idle_since >= self.degraded_after:
                 self._degrade_locally(record, state)
         if state.error is not None:
             raise ServiceError(state.error)
@@ -895,8 +967,8 @@ class FleetCoordinator:
         n_designs = sum(job.stop - job.start for job in taken)
         _log.warning(
             "fleet degraded to local evaluation for tenant %r: %d design(s) "
-            "in %d chunk(s), no live workers for %.1fs",
-            record.name, n_designs, len(taken), self.degraded_after)
+            "in %d chunk(s), no live workers", record.name, n_designs,
+            len(taken))
         for job in taken:
             if job.state.aborted() or job.completed:
                 continue
@@ -1075,27 +1147,57 @@ class FleetCoordinator:
             self._cond.notify_all()
 
     def _pump_failed(self, pump: _HostPump, exc: Exception) -> None:
-        """Drop a host after a transport failure (idempotent).
+        """Drop a host after a transport failure (idempotent per pump).
 
         The address is quarantined under capped exponential backoff with
         deterministic jitter — consecutive failures double the retry-after
-        (up to :attr:`QUARANTINE_CAP_S`), a success resets it — and
-        deregistered: a *live* heartbeating worker re-registers itself on
-        its next beat, while a genuinely dead one stays gone.  Static hosts
-        need :meth:`add_host` to come back.
+        (up to :attr:`QUARANTINE_CAP_S`), a success resets it.  A pin stays
+        registered, so the watcher retries it once its quarantine ends; any
+        other address is deregistered: a *live* heartbeating worker
+        re-registers itself on its next beat, while a dead one stays gone.
+        When this leaves a server-less coordinator with no pin to serve it,
+        queued chunks abort at once (see :meth:`_abort_if_exhausted_locked`).
         """
+        pins = self.registry.pins()
         with self._cond:
             if self._pumps.get(pump.address) is pump:
                 del self._pumps[pump.address]
-            attempt = self._failures.get(pump.address, 0)
-            self._failures[pump.address] = attempt + 1
-            self._quarantine[pump.address] = (
-                time.monotonic() + backoff_delay(
-                    attempt, base=2 * self.poll_interval,
-                    cap=self.QUARANTINE_CAP_S, key=pump.address))
+                attempt = self._failures.get(pump.address, (0, ""))[0]
+                self._failures[pump.address] = (attempt + 1, str(exc))
+                self._quarantine[pump.address] = (
+                    time.monotonic() + backoff_delay(
+                        attempt, base=2 * self.poll_interval,
+                        cap=self.QUARANTINE_CAP_S, key=pump.address))
+                self._abort_if_exhausted_locked(pins)
             self._cond.notify_all()
         pump.close()
-        self.registry.deregister(pump.address)
+        if pump.address not in pins:
+            self.registry.deregister(pump.address)
+
+    def _abort_if_exhausted_locked(self, pins) -> str | None:  # holds: _cond
+        """Abort queued work that no worker can serve; return the trail.
+
+        Only a coordinator without a registry server qualifies, since its
+        pins are then its only possible workers: no pump is alive and every
+        pin has failed since its last success.  The queued chunks of every
+        tenant but the ``degraded="local"`` ones (whose dispatches evaluate
+        them in-process instead) abort with the per-host failure trail,
+        which is returned.  ``None`` otherwise — a fleet with no pins keeps
+        waiting for workers to join.
+        """
+        if self._pumps or self._server is not None or not pins:
+            return None
+        if any(address not in self._failures for address in pins):
+            return None
+        trail = "; ".join(f"{address}: {self._failures[address][1]}"
+                          for address in sorted(pins))
+        for record in self._tenants.values():
+            if record.degraded != "local" and record.queue:
+                stranded, record.queue = record.queue, deque()
+                for job in stranded:
+                    job.state.abort("remote evaluation failed on all hosts: "
+                                    + trail)
+        return trail
 
     # -- hedged re-dispatch ------------------------------------------------
     def _hedge_sweep(self) -> None:

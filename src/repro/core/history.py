@@ -13,7 +13,7 @@ baseline: :meth:`Optimizer.ask` proposes the next designs to simulate and
 :meth:`Optimizer.tell` feeds the measured rows back.  The optimizer never
 drives its own evaluation loop — budget, dispatch, stop conditions,
 callbacks and checkpointing belong to :class:`repro.core.Study`, and
-:meth:`Optimizer.run` is a thin compatibility shim that builds a default
+:meth:`Optimizer.run` is a thin wrapper that builds a default
 (non-pipelined) study.  Inverting control this way lets one driver overlap
 proposal generation with in-flight evaluations (``Study(pipeline_depth=d)``),
 checkpoint and resume runs, and compose optimizers into larger scenarios.
@@ -22,7 +22,6 @@ checkpoint and resume runs, and compose optimizers into larger scenarios.
 from __future__ import annotations
 
 import time
-import warnings
 from abc import ABC
 from typing import Any
 
@@ -37,14 +36,14 @@ __all__ = ["BudgetExhausted", "OptimizationHistory", "Optimizer"]
 class BudgetExhausted(Exception):
     """No simulation budget left for another :meth:`Optimizer.evaluate` call.
 
-    Raised by the legacy :meth:`Optimizer.evaluate` /
+    Raised by the direct-call :meth:`Optimizer.evaluate` /
     :meth:`Optimizer.evaluate_batch` entry points once
     ``history.n_evals == budget`` (and, with ``stop_when_feasible``, as soon
-    as a feasible design lands).  :meth:`Optimizer.run` catches it to end a
-    legacy ``_run`` loop; code that calls ``evaluate()`` *directly* — outside
-    any driver — must be prepared to catch it too, which is why it is public
-    API (``repro.core.BudgetExhausted``).  The ask/tell protocol never raises
-    it: budget discipline there belongs to :class:`repro.core.Study`.
+    as a feasible design lands).  Code that calls ``evaluate()`` *directly*
+    — outside any driver — must be prepared to catch it, which is why it is
+    public API (``repro.core.BudgetExhausted``).  The ask/tell protocol
+    never raises it: budget discipline there belongs to
+    :class:`repro.core.Study`.
     """
 
 
@@ -265,9 +264,7 @@ class Optimizer(ABC):
       yet (e.g. DE waiting for its initial population) returns an empty
       ``(0, d)`` array, which tells the driver to gather first.
 
-    Legacy third-party subclasses that override :meth:`_run` keep working
-    through :meth:`run` (one deprecation path); :meth:`evaluate` /
-    :meth:`evaluate_batch` remain for them and for direct out-of-loop
+    :meth:`evaluate` / :meth:`evaluate_batch` remain for direct out-of-loop
     queries, and raise :class:`BudgetExhausted` once the budget is spent.
     """
 
@@ -286,9 +283,6 @@ class Optimizer(ABC):
         self.rng = np.random.default_rng(seed)
         self.history = OptimizationHistory(problem, self.name, seed)
         self._n_proposed = 0  # designs handed out via ask() so far
-
-    #: public alias kept for code that referenced the old private name
-    _BudgetExhausted = BudgetExhausted
 
     # -- ask/tell protocol -------------------------------------------------
     def ask(self, k: int | None = None) -> np.ndarray:
@@ -336,18 +330,17 @@ class Optimizer(ABC):
 
     def _ask(self, k: int | None) -> np.ndarray:
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither _ask() (native "
-            f"ask/tell) nor _run() (legacy blocking loop)")
+            f"{type(self).__name__} does not implement _ask()")
 
     def _observe(self, x: np.ndarray, f_raw: np.ndarray) -> None:
         """Consume one told result (row already appended to the history)."""
 
-    # -- legacy evaluation entry points ------------------------------------
+    # -- direct evaluation entry points ------------------------------------
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Simulate one design, record it, and return the raw performance row.
 
-        Out-of-loop entry point (legacy ``_run`` bodies and direct calls);
-        raises :class:`BudgetExhausted` once the budget is spent.
+        Out-of-loop entry point; raises :class:`BudgetExhausted` once the
+        budget is spent.
         """
         return self.evaluate_batch(np.asarray(x, dtype=np.float64).ravel()[None, :])[0]
 
@@ -386,33 +379,10 @@ class Optimizer(ABC):
 
     # -- drivers ------------------------------------------------------------
     def run(self) -> OptimizationHistory:
-        """Execute the optimizer until the budget is exhausted.
-
-        Compatibility shim: native ask/tell optimizers are wrapped in a
-        default non-pipelined :class:`repro.core.Study`; subclasses that
-        still override ``_run`` get the historic blocking loop (deprecated).
-        """
-        if type(self)._run is not Optimizer._run:
-            warnings.warn(
-                f"{type(self).__name__} overrides Optimizer._run(); port it "
-                f"to the ask/tell protocol (_ask/_observe) — the blocking "
-                f"_run loop is deprecated and cannot be pipelined, "
-                f"checkpointed, or resumed.",
-                DeprecationWarning, stacklevel=2)
-            from .study import attach_engine_stats, engine_counter_snapshot
-            before = engine_counter_snapshot(self.engine)
-            try:
-                self._run()
-            except BudgetExhausted:
-                pass
-            attach_engine_stats(self.history, self.engine, before)
-            return self.history
+        """Execute the optimizer until the budget is exhausted, driven by a
+        default non-pipelined :class:`repro.core.Study`."""
         from .study import Study
         return Study(self).run()
-
-    def _run(self) -> None:
-        """Legacy blocking loop hook — superseded by :meth:`_ask`/:meth:`_observe`."""
-        raise NotImplementedError
 
 
 class _ModelTimer:

@@ -1,23 +1,14 @@
-"""Async and multi-host evaluation dispatch for :class:`EvalEngine`.
+"""Evaluation worker servers and the wire protocol they speak.
 
-This module is the sharding seam on top of the evaluation engine: it turns a
-batch of pending (cache-missed, de-duplicated) designs into performance rows
-using either
-
-* :class:`AsyncDispatcher` — an in-process asyncio dispatcher with bounded
-  concurrency and *work-stealing* chunking.  Instead of the rigid
-  ``np.array_split`` fan-out (one fixed chunk per worker, wall-clock pinned
-  to the slowest chunk), the batch is cut into many small chunks that idle
-  workers pull from a shared deque, so a straggling simulation only delays
-  its own chunk.  Backend name: ``"async"``.
-* :class:`RemoteDispatcher` — a coordinator that speaks a small
-  length-prefixed JSON protocol over TCP sockets to N worker server
-  processes (:class:`EvalWorkerServer`, one per host/shard), each running
-  the existing *serial* engine.  Backend name: ``"remote"``.
-
-The multi-tenant fleet control plane (worker registry, heartbeats, fair
-cross-study scheduling) lives in :mod:`repro.core.fleet` and is built on
-the same wire protocol and :class:`MultiplexedConnection` primitive.
+This module is the wire layer under the ``"remote"`` backend of
+:class:`EvalEngine`: :class:`EvalWorkerServer` is one worker (one shard,
+one host), a TCP server wrapping the existing *serial* engine, and
+:class:`MultiplexedConnection` is the client side of one persistent
+connection to it.  Dispatch itself — chunking, failover, deadlines,
+degraded-local mode — lives in :class:`~repro.core.fleet.FleetCoordinator`:
+``EvalEngine("remote", hosts=[...])`` runs on a private, single-tenant
+coordinator pinned to those hosts, and a shared coordinator serves many
+Studies over an elastic worker fleet.
 
 Wire protocol (version 2)
 -------------------------
@@ -33,11 +24,10 @@ the reply to an id-carrying request echoes the same ``"id"`` — replies on
 one connection may then arrive *out of order*, and several requests (from
 several tenants, or overlapping ``submit()`` dispatches) can be in flight
 on one shared per-host connection at once.  A request *without* an ``"id"``
-is answered in version-1 mode: strictly in order, one reply per request,
-before the next frame is read — so v1 coordinators keep working against v2
-workers unchanged.  The ``hello`` exchange is always id-less (it happens
-before either side turns multiplexing on) and carries the worker's protocol
-version, which is how a coordinator learns whether it may send ids at all::
+is answered inline, in order, before the next frame is read.  The ``hello``
+exchange is always id-less (it happens before multiplexing starts) and
+carries the worker's protocol version; a coordinator refuses any worker
+whose version is not :data:`PROTOCOL_VERSION`::
 
     -> {"op": "hello"}
     <- {"ok": true, "protocol": 2, "pid": 1234, "problems": 0}
@@ -95,18 +85,16 @@ contracts") cross-checks every literal frame and every handler dispatch in
 the tree against it, so adding an op starts in the schema module.  The
 same schema module's ``SANITIZED_CLASSES`` table drives the runtime lock
 sanitizer (``REPRO_SANITIZE=1``), which cross-checks this module's lock
-nesting (``_v1_lock`` over ``_lock``, ``_eval_lock`` over the engine's
-``_state_lock``) against the static lock-order graph
-(``python -m repro.tools.flow src --check``, rules RP06/RP07).
+nesting (``_eval_lock`` over the engine's ``_state_lock``) against the
+static lock-order graph (``python -m repro.tools.flow src --check``, rules
+RP06/RP07).
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import base64
 import json
-import logging
 import os
 import pickle
 import select
@@ -115,8 +103,7 @@ import struct
 import threading
 import time
 import zlib
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
 from itertools import count
 from queue import Empty, SimpleQueue
 
@@ -124,11 +111,8 @@ import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "COMPAT_PROTOCOLS",
     "MAX_FRAME_BYTES",
-    "AsyncDispatcher",
     "MultiplexedConnection",
-    "RemoteDispatcher",
     "EvalWorkerServer",
     "ServiceError",
     "DeadlineExceeded",
@@ -140,23 +124,19 @@ __all__ = [
     "main",
 ]
 
-_log = logging.getLogger("repro.core.service")
-
 PROTOCOL_VERSION = 2
-
-#: protocol versions a coordinator will talk to.  Version 1 peers are
-#: served in strict request/reply order (no ids on the wire).
-COMPAT_PROTOCOLS = (1, 2)
 
 
 class ServiceError(RuntimeError):
     """The evaluation service could not complete a dispatch.
 
-    Raised by the ``remote`` backend when a batch cannot be finished —
-    every shard died or rejected its work, a chunk exhausted its bounded
-    requeue budget, or the dispatcher was closed with work in flight.  The
-    message carries the per-host failure trail so a dead service reads as
-    an operational problem, not a mystery hang.
+    Raised through the ``remote`` backend and every fleet tenant
+    (:class:`~repro.core.fleet.FleetCoordinator`) when a batch cannot be
+    finished — every pinned host failed, a worker rejected the work, a
+    chunk exhausted its bounded requeue budget, or the coordinator was
+    closed with work in flight.  The message carries the per-host failure
+    trail so a dead service reads as an operational problem, not a mystery
+    hang.
     """
 
 
@@ -237,66 +217,18 @@ def parse_host(spec: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
-    """Work-stealing chunk bounds: ~``granularity`` chunks per consumer."""
-    size = max(1, n // max(1, n_consumers * granularity))
-    return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-
 # ----------------------------------------------------------------------
-# async (in-process) dispatcher
-# ----------------------------------------------------------------------
-class AsyncDispatcher:
-    """Bounded-concurrency asyncio dispatch with work-stealing chunking.
-
-    ``workers`` coroutines pull small chunks from a shared deque and run the
-    blocking ``problem.evaluate`` calls on a thread pool, so a slow design
-    only holds back its own chunk.  Rows are written back by batch index —
-    output order never depends on scheduling.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = max(1, int(workers))
-        self._pool = ThreadPoolExecutor(max_workers=self.workers)
-
-    def dispatch(self, problem, X: np.ndarray) -> np.ndarray:
-        out: list = [None] * len(X)
-        chunks = deque(_chunk_ranges(len(X), self.workers))
-
-        def eval_chunk(start: int, stop: int) -> list:
-            return list(problem.evaluate_batch(X[start:stop]))
-
-        async def puller(loop) -> None:
-            while chunks:
-                start, stop = chunks.popleft()
-                rows = await loop.run_in_executor(self._pool, eval_chunk, start, stop)
-                out[start:stop] = rows
-
-        async def drain() -> None:
-            loop = asyncio.get_running_loop()
-            pullers = min(self.workers, len(chunks))
-            await asyncio.gather(*(puller(loop) for _ in range(pullers)))
-
-        asyncio.run(drain())
-        return np.vstack(out)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-# ----------------------------------------------------------------------
-# multiplexed per-host connection (protocol v2 client side)
+# multiplexed per-host connection (client side)
 # ----------------------------------------------------------------------
 class MultiplexedConnection:
     """One persistent connection to a worker, shared by concurrent requesters.
 
-    Against a protocol-2 peer, every request is stamped with a fresh integer
-    ``id`` and a background reader thread routes replies back to their
-    callers by that id — so overlapping dispatches (two studies' chunks, or
-    two pipelined ``submit()`` batches) interleave on one socket instead of
-    queueing behind each other.  Against a protocol-1 peer the connection
-    degrades transparently to serialized request/reply (no ids on the
-    wire), which keeps old workers usable.
+    Every request is stamped with a fresh integer ``id`` and a background
+    reader thread routes replies back to their callers by that id — so
+    overlapping dispatches (two studies' chunks, or two pipelined
+    ``submit()`` batches) interleave on one socket instead of queueing
+    behind each other.  A peer whose ``hello`` does not report
+    :data:`PROTOCOL_VERSION` is refused with :class:`ConnectionError`.
 
     A transport failure (reader-thread death, socket EOF, a corrupt frame)
     fails *every* pending request with :class:`ConnectionError` — no waiter
@@ -310,8 +242,8 @@ class MultiplexedConnection:
         self.addr = addr
         self._sock = socket.create_connection(addr, timeout=connect_timeout)
         try:
-            # Handshake is id-less by definition: neither side multiplexes
-            # until the worker's protocol version is known.  It runs under
+            # Handshake is id-less by definition: multiplexing starts once
+            # the worker's protocol version is known.  It runs under
             # connect_timeout — a peer that accepts the TCP connection but
             # never answers hello is as dead as one that refused it.
             send_msg(self._sock, {"op": "hello"})
@@ -320,7 +252,7 @@ class MultiplexedConnection:
             self._sock.close()
             raise
         if (not hello or not hello.get("ok")
-                or hello.get("protocol") not in COMPAT_PROTOCOLS):
+                or hello.get("protocol") != PROTOCOL_VERSION):
             self._sock.close()
             raise ConnectionError(
                 f"{addr[0]}:{addr[1]}: bad hello reply {hello!r}")
@@ -330,30 +262,18 @@ class MultiplexedConnection:
         # socket-wide timeout that would poison the shared reader.
         self._sock.settimeout(None)
         self.hello = hello
-        self.protocol = int(hello["protocol"])
         self._lock = threading.Lock()        # pending table + broken flag
         self._send_lock = threading.Lock()   # one frame on the wire at a time
-        self._v1_lock = threading.Lock()     # serialized mode for v1 peers
         self._pending: dict[int, SimpleQueue] = {}   # guarded by: _lock
         self._ids = count(1)
         self._broken: Exception | None = None        # guarded by: _lock
-        self._reader = None
-        if self.protocol >= 2:
-            self._reader = threading.Thread(
-                target=self._read_loop, name=f"mux-read-{addr[0]}:{addr[1]}",
-                daemon=True)
-            self._reader.start()
-
-    @property
-    def multiplexed(self) -> bool:
-        return self.protocol >= 2
+        self._reader = threading.Thread(
+            target=self._read_loop, name=f"mux-read-{addr[0]}:{addr[1]}",
+            daemon=True)
+        self._reader.start()
 
     def request(self, msg: dict, *, timeout: float | None = None) -> dict:
         """Send one request and block for its reply (thread-safe).
-
-        Concurrent callers interleave on the socket when the peer speaks
-        protocol 2; against a v1 peer they queue per *request* (still finer
-        than queueing per whole dispatch).
 
         ``timeout`` bounds the wait for *this* reply: when it elapses the
         request's pending entry is withdrawn and :class:`DeadlineExceeded`
@@ -362,36 +282,6 @@ class MultiplexedConnection:
         arrives after its deadline (or a duplicate reply) finds no pending
         entry and is discarded — first reply wins, by request id.
         """
-        if not self.multiplexed:
-            with self._v1_lock:
-                # _v1_lock only serializes the request/reply stream; the
-                # broken flag is owned by _lock so v1 callers and the v2
-                # reader/_fail path agree on it.
-                with self._lock:
-                    if self._broken is not None:
-                        raise ConnectionError(str(self._broken))
-                try:
-                    self._sock.settimeout(timeout)
-                    send_msg(self._sock, msg)
-                    reply = recv_msg(self._sock)
-                except TimeoutError as exc:
-                    # The v1 stream is now desynced (a late reply would be
-                    # matched to the *next* request), so the connection is
-                    # done for — mark it broken before surfacing.
-                    with self._lock:
-                        if self._broken is None:
-                            self._broken = exc
-                    raise DeadlineExceeded(
-                        f"{self.addr[0]}:{self.addr[1]}: no reply within "
-                        f"{timeout:g}s (worker hung?)") from exc
-                finally:
-                    try:
-                        self._sock.settimeout(None)
-                    except OSError:
-                        pass
-                if reply is None:
-                    raise ConnectionError("connection closed")
-                return reply
         rid = next(self._ids)
         queue: SimpleQueue = SimpleQueue()
         with self._lock:
@@ -425,7 +315,7 @@ class MultiplexedConnection:
                     raise ConnectionError("connection closed")
                 rid = reply.get("id")
                 if rid is None:
-                    # A v2 peer must echo ids; an id-less frame here means
+                    # The peer must echo ids; an id-less frame here means
                     # the peer is broken or the stream is corrupt.
                     raise ConnectionError(
                         "protocol violation: reply without request id on a "
@@ -461,10 +351,9 @@ class MultiplexedConnection:
         self._fail(ConnectionError("connection closed"))
 
     def __repr__(self) -> str:
-        mode = "mux" if self.multiplexed else "v1"
         with self._lock:
             n_pending = len(self._pending)
-        return (f"MultiplexedConnection({self.addr[0]}:{self.addr[1]}, {mode}, "
+        return (f"MultiplexedConnection({self.addr[0]}:{self.addr[1]}, "
                 f"pending={n_pending})")
 
 
@@ -477,11 +366,12 @@ class EvalWorkerServer:
     Problems are installed once per server (``put_problem``) and referenced
     by their content token afterwards, so steady-state traffic is just design
     vectors and performance rows.  Evaluations are serialized by a lock (a
-    worker *is* one serial engine) but protocol-2 requests are *accepted*
+    worker *is* one serial engine) but requests are *accepted*
     concurrently: an id-carrying request is answered whenever its handler
     finishes, so control ops (``hello``/``stats``) and queued chunks from
     other tenants never wait behind a long evaluation's wire round-trip.
-    Id-less requests keep the strict version-1 request/reply order.
+    Id-less requests (``hello`` and ``shutdown`` from a coordinator, or a
+    plain request/reply client) are answered inline, in order.
 
     With ``cache_dir`` the worker's engine gets its own persistent disk
     tier, so a restarted shard answers repeated designs with zero
@@ -549,7 +439,7 @@ class EvalWorkerServer:
                     return
                 rid = msg.get("id")
                 if rid is None or msg.get("op") == "shutdown":
-                    # v1 semantics: handle inline, reply in order.  shutdown
+                    # Id-less: handle inline, reply in order.  shutdown
                     # is always inline so the final reply wins the race with
                     # the listener teardown.
                     if not self._reply(conn, write_lock, msg, rid):
@@ -639,301 +529,6 @@ class EvalWorkerServer:
                 "cache_dir": self._engine.cache_dir,
                 "problems": n_problems,
                 "uptime_s": round(time.monotonic() - self._started, 3)}
-
-
-# ----------------------------------------------------------------------
-# remote (multi-host) coordinator
-# ----------------------------------------------------------------------
-class RemoteDispatcher:
-    """Coordinator for the ``"remote"`` backend.
-
-    Keeps one persistent :class:`MultiplexedConnection` per host, ships each
-    problem at most once per connection (re-shipping on a ``need_problem``
-    reply, e.g. after a worker restart or LRU eviction), and feeds
-    work-stealing chunks to hosts as they finish.  Overlapping
-    :meth:`dispatch` calls — the engine's pipelined ``submit()`` batches —
-    interleave their chunks on the shared per-host connections instead of
-    queueing behind one another (against a protocol-1 worker, requests
-    serialize per chunk, which is still finer than the old
-    dispatch-at-a-time lock).  Failures are told apart: a *transport* error
-    drops the host and re-queues its chunk for the survivors, while a
-    worker's *rejection* of a well-delivered request (the evaluation itself
-    raised) aborts the dispatch immediately — retrying a deterministic
-    failure on another shard would just fail there too.
-
-    Failover is *bounded*: a chunk is re-queued at most
-    ``max_chunk_requeues`` times (default: twice per configured host), so
-    the death of the final live host — or a chunk that kills every shard
-    it lands on — surfaces as a prompt :class:`ServiceError` carrying the
-    per-host failure trail instead of a requeue spin or an opaque hang.
-
-    ``chunk_timeout`` (seconds per design) arms a per-chunk deadline: a
-    chunk of ``n`` designs must be answered within ``chunk_timeout * n``
-    seconds or its host is treated as hung — a retryable transport failure
-    under the same bounded budget.  ``degraded="local"`` opts into
-    graceful degradation: when every host has been exhausted, the missing
-    rows are evaluated in-process (logged, counted in ``n_degraded``)
-    instead of raising, so a fleet outage stalls a run rather than killing
-    it.  Both default off to preserve exact legacy behaviour.
-    """
-
-    def __init__(self, hosts, *, connect_timeout: float = 10.0,
-                 max_chunk_requeues: int | None = None,
-                 chunk_timeout: float | None = None,
-                 degraded: str | None = None):
-        self.addresses = [parse_host(h) for h in hosts]
-        if not self.addresses:
-            raise ValueError("remote dispatch needs at least one host")
-        if degraded not in (None, "local"):
-            raise ValueError(f"degraded must be None or 'local', got {degraded!r}")
-        self.connect_timeout = float(connect_timeout)
-        self.chunk_timeout = (None if chunk_timeout is None
-                              else float(chunk_timeout))
-        self.degraded = degraded
-        self.n_degraded = 0  # local-fallback answers; guarded by: _lock
-        self.max_chunk_requeues = (2 * len(self.addresses)
-                                   if max_chunk_requeues is None
-                                   else int(max_chunk_requeues))
-        self._conns: dict[tuple[str, int], MultiplexedConnection] = {}  # guarded by: _lock
-        self._conn_locks: dict[tuple[str, int], threading.Lock] = {}    # guarded by: _lock
-        self._shipped: dict[tuple[str, int], set[str]] = {}             # guarded by: _lock
-        self._closed = False                                            # guarded by: _lock
-        self._lock = threading.Lock()
-
-    # -- connection management --------------------------------------------
-    def _connection(self, addr: tuple[str, int]) -> MultiplexedConnection:
-        with self._lock:
-            if self._closed:
-                raise ServiceError("remote dispatcher is closed")
-            conn = self._conns.get(addr)
-            if conn is not None:
-                return conn
-            setup = self._conn_locks.setdefault(addr, threading.Lock())
-        # Per-address setup lock: concurrent dispatches agree on one
-        # connection per host without serializing *different* hosts'
-        # (possibly slow) connect attempts behind each other.
-        with setup:
-            with self._lock:
-                conn = self._conns.get(addr)
-                if conn is not None:
-                    return conn
-            conn = MultiplexedConnection(addr,
-                                         connect_timeout=self.connect_timeout)
-            with self._lock:
-                if self._closed:
-                    conn.close()
-                    raise ServiceError("remote dispatcher is closed")
-                self._conns[addr] = conn
-                self._shipped.setdefault(addr, set())
-            return conn
-
-    def _drop_connection(self, addr: tuple[str, int]) -> None:
-        with self._lock:
-            conn = self._conns.pop(addr, None)
-            self._shipped.pop(addr, None)
-        if conn is not None:
-            conn.close()
-
-    def close(self) -> None:
-        """Drop every connection; in-flight dispatches fail with
-        :class:`ServiceError` instead of waiting on dead sockets."""
-        with self._lock:
-            self._closed = True
-            addrs = list(self._conns)
-        for addr in addrs:
-            self._drop_connection(addr)
-
-    # -- problem shipping --------------------------------------------------
-    @staticmethod
-    def _encode_problem(problem) -> str:
-        try:
-            return base64.b64encode(
-                pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-        except Exception as exc:
-            raise TypeError(
-                f"remote backend requires a picklable problem "
-                f"({type(problem).__name__} failed to pickle: {exc})") from exc
-
-    class _EvalRejected(Exception):
-        """The shard is healthy but refused the request itself."""
-
-    def _control_timeout(self) -> float | None:
-        """Deadline for small control frames (``put_problem``), armed only
-        when eval deadlines are on — shipping is quick relative to evals."""
-        if self.chunk_timeout is None:
-            return None
-        return max(self.connect_timeout, self.chunk_timeout)
-
-    def _ship_problem(self, conn, addr, token_hex: str, blob: str) -> None:
-        reply = conn.request({"op": "put_problem", "token": token_hex,
-                              "blob": blob}, timeout=self._control_timeout())
-        if not reply.get("ok"):
-            # e.g. the problem's class isn't importable on the worker host —
-            # deterministic, so don't retry it against other shards.
-            raise RemoteDispatcher._EvalRejected(
-                f"put_problem rejected: {reply.get('error', reply)}")
-        with self._lock:
-            if addr in self._shipped:
-                self._shipped[addr].add(token_hex)
-
-    def _is_shipped(self, addr, token_hex: str) -> bool:
-        with self._lock:
-            return token_hex in self._shipped.get(addr, ())
-
-    # -- dispatch ----------------------------------------------------------
-    def dispatch(self, problem, token: bytes,
-                 X: np.ndarray) -> tuple[np.ndarray, dict[str, float], int]:
-        """Evaluate ``X`` across the hosts.
-
-        Returns ``(rows, counters, n_worker_sims)`` where ``counters`` are
-        the summed worker-side hot-path deltas and ``n_worker_sims`` the
-        total simulations the shards actually ran.  Thread-safe: overlapping
-        calls interleave chunks on the shared per-host connections.
-        """
-        token_hex = token.hex()
-        # Encode the problem only when some host still needs it — the
-        # steady state (every connection warm, problem shipped) pays no
-        # per-dispatch pickling.
-        with self._lock:
-            need_ship = any(addr not in self._conns
-                            or token_hex not in self._shipped.get(addr, ())
-                            for addr in self.addresses)
-        blob = self._encode_problem(problem) if need_ship else None
-
-        out: list = [None] * len(X)
-        # Each pending entry carries its requeue count; a chunk that has
-        # already burned through ``max_chunk_requeues`` hosts is abandoned
-        # (fatal) rather than re-queued forever while hosts keep dying.
-        pending = deque((start, stop, 0)
-                        for start, stop in _chunk_ranges(len(X), len(self.addresses)))
-        counters_total: dict[str, float] = {}
-        sims_total = 0
-        errors: list[str] = []
-        fatal: list[str] = []
-        state_lock = threading.Lock()  # this dispatch's queue/results only
-
-        def eval_chunk(conn, addr, start: int, stop: int) -> dict:
-            request = {"op": "eval", "token": token_hex,
-                       "X": X[start:stop].tolist()}
-            deadline = (None if self.chunk_timeout is None
-                        else self.chunk_timeout * max(1, stop - start))
-            for attempt in (0, 1):
-                reply = conn.request(request, timeout=deadline)
-                if reply.get("ok"):
-                    return reply
-                if reply.get("need_problem") and attempt == 0:
-                    # Worker restarted or LRU-evicted the problem: re-ship
-                    # over the live connection and retry the chunk once.
-                    with self._lock:
-                        if addr in self._shipped:
-                            self._shipped[addr].discard(token_hex)
-                    self._ship_problem(conn, addr, token_hex,
-                                       blob or self._encode_problem(problem))
-                    continue
-                raise RemoteDispatcher._EvalRejected(
-                    reply.get("error", "request rejected"))
-            raise ConnectionError("unreachable")  # pragma: no cover
-
-        def run_host(addr: tuple[str, int]) -> None:
-            nonlocal sims_total
-            label = f"{addr[0]}:{addr[1]}"
-            try:
-                conn = self._connection(addr)
-                if not self._is_shipped(addr, token_hex):
-                    self._ship_problem(conn, addr, token_hex,
-                                       blob or self._encode_problem(problem))
-            except RemoteDispatcher._EvalRejected as exc:
-                with state_lock:
-                    fatal.append(f"{label}: {exc}")
-                return
-            except Exception as exc:
-                with state_lock:
-                    errors.append(f"{label}: {exc}")
-                self._drop_connection(addr)
-                return
-            while True:
-                with state_lock:
-                    if fatal or not pending:
-                        return
-                    start, stop, requeues = pending.popleft()
-                try:
-                    reply = eval_chunk(conn, addr, start, stop)
-                except RemoteDispatcher._EvalRejected as exc:
-                    # Deterministic failure: another shard would reject it
-                    # too.  Abort the dispatch, keep the connection.
-                    with state_lock:
-                        fatal.append(f"{label}: {exc}")
-                    return
-                except Exception as exc:
-                    with state_lock:
-                        errors.append(f"{label}: {exc}")
-                        if requeues < self.max_chunk_requeues:
-                            pending.append((start, stop, requeues + 1))
-                        else:
-                            fatal.append(
-                                f"chunk [{start}:{stop}] abandoned after "
-                                f"{requeues} failovers")
-                    self._drop_connection(addr)
-                    return
-                rows = reply["F"]
-                out[start:stop] = [np.asarray(r, dtype=np.float64) for r in rows]
-                with state_lock:
-                    for name, value in reply.get("counters", {}).items():
-                        counters_total[name] = counters_total.get(name, 0.0) + value
-                    sims_total += int(reply.get("n_sims", len(rows)))
-
-        # Host threads exit once the queue drains — but a chunk held by a
-        # host that *later* times out (or dies) is re-queued after the
-        # others already left.  Re-fan-out the *surviving* connections (a
-        # host dropped mid-dispatch stays dropped — the bounded-failover
-        # contract) until the queue is truly empty, bounded by the requeue
-        # budget, so a hung straggler at the tail of a dispatch fails over
-        # instead of stranding its rows.
-        candidates = list(self.addresses)
-        for _round in range(1 + self.max_chunk_requeues):
-            threads = [threading.Thread(target=run_host, args=(addr,),
-                                        daemon=True)
-                       for addr in candidates]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            with state_lock:
-                if fatal or not pending:
-                    break
-            with self._lock:
-                candidates = [addr for addr in self.addresses
-                              if addr in self._conns]
-            if not candidates:
-                break
-        if fatal:
-            raise ServiceError("remote evaluation rejected: " + "; ".join(fatal))
-        if any(row is None for row in out):
-            # Every thread has exited (the last live host died mid-chunk,
-            # or the dispatcher was closed) with rows still missing.
-            detail = "; ".join(errors) if errors else "dispatcher closed"
-            with self._lock:
-                closed = self._closed
-            if self.degraded == "local" and not closed:
-                # Graceful degradation: finish the batch in-process rather
-                # than failing the Study.  Rows are the same deterministic
-                # problem.evaluate answers a worker's serial engine would
-                # have produced, so histories stay bit-identical.
-                missing = [i for i, row in enumerate(out) if row is None]
-                _log.warning(
-                    "remote evaluation degraded to local for %d design(s) "
-                    "(no live workers): %s", len(missing), detail)
-                for i, row in zip(missing, problem.evaluate_batch(X[missing])):
-                    out[i] = np.asarray(row, dtype=np.float64)
-                sims_total += len(missing)
-                # Not state_lock: concurrent dispatches share this counter,
-                # so it lives under the dispatcher-wide lock.
-                with self._lock:
-                    self.n_degraded += len(missing)
-            else:
-                raise ServiceError(
-                    "remote evaluation failed on all hosts: " + detail)
-        return np.vstack(out), counters_total, sims_total
 
 
 # ----------------------------------------------------------------------

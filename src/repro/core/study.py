@@ -11,7 +11,7 @@ generation out of the optimizers and into one place:
   :meth:`~repro.core.engine.EvalEngine.submit` /
   :meth:`~repro.core.engine.EvalEngine.gather` pair while the previous
   batch is still in flight, overlapping actor/critic retraining (or GP
-  fits) with simulator latency on the async/remote backends;
+  fits) with simulator latency on the thread/remote backends;
 * **stop conditions** — ``stop_when_feasible`` truncation (bit-compatible
   with the historic serial protocol: rows after the first feasible design
   are discarded), a user ``stop_when(history)`` predicate, and cooperative
@@ -117,7 +117,7 @@ class Study:
         barrier mode: ask, evaluate, tell, repeat — bit-identical to the
         historic blocking loop.  ``d >= 2`` submits up to ``d`` batches
         non-blockingly, so proposal generation overlaps in-flight
-        evaluations (worth real wall-clock on the async/remote backends;
+        evaluations (worth real wall-clock on the thread/remote backends;
         pipelined proposals condition on an archive up to ``d-1`` batches
         stale).
     ask_size:

@@ -18,7 +18,7 @@ thread pool or the serial loop.
 Trial context travels *with* each dispatch — as an explicit argument for
 the serial/thread paths and through the pool initializer for process
 pools — never through a module-level global, so concurrent
-:func:`run_trials` calls (thread pools, the async evaluation service)
+:func:`run_trials` calls (thread pools, the evaluation service)
 can never run each other's factories.
 
 ``engine_factory`` points the trials at an evaluation backend: each trial
@@ -31,7 +31,7 @@ targets an already-running evaluation service (see
 Every trial is driven by a :class:`~repro.core.Study` (the ask/tell
 driver); ``pipeline_depth > 1`` turns on pipelined dispatch inside each
 trial, overlapping the optimizer's proposal generation with in-flight
-evaluations on the async/remote backends.  Pipelined proposals condition
+evaluations on the thread/remote backends.  Pipelined proposals condition
 on a slightly stale archive, so unlike ``workers``/``engine_factory`` this
 knob *may* change trajectories of adaptive optimizers — leave it at 1 for
 paper-protocol reproduction runs.
@@ -80,24 +80,11 @@ def _execute_trial(context: tuple, trial: int) -> OptimizationHistory:
     optimizer = factory(problem, budget, base_seed + trial)
     engine = engine_factory() if engine_factory is not None else None
     try:
-        if _is_legacy(optimizer):
-            # Third-party _run()-style optimizers cannot be driven by a
-            # Study (and cannot pipeline or warm-start); keep the historic
-            # blocking path.
-            if engine is not None:
-                optimizer.engine = engine
-            return optimizer.run()
         return Study(optimizer, engine=engine, pipeline_depth=depth,
                      warm_start=warm_start).run()
     finally:
         if engine is not None:
             engine.close()
-
-
-def _is_legacy(optimizer) -> bool:
-    from ..core.history import Optimizer
-    return (isinstance(optimizer, Optimizer)
-            and type(optimizer)._run is not Optimizer._run)
 
 
 def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],

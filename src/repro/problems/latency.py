@@ -1,7 +1,7 @@
 """Latency-modeling problem wrapper for dispatch benchmarks.
 
 The bundled SPICE engine is pure CPU-bound python, so dispatch-layer
-speedups (thread/async overlap, remote sharding) are invisible on a small
+speedups (thread overlap, remote sharding) are invisible on a small
 host.  :class:`LatencyProblem` models the production situation instead — an
 *external* simulator behind a license queue, subprocess or farm RPC — by
 sleeping a fixed interval before every evaluation.  Wait-bound evaluations

@@ -43,9 +43,9 @@ from .lint.rp02 import _guard_on, _holds_on
 #: Lock attribute names considered *hot* (guarding in-memory state touched on
 #: the request path).  Blocking while holding one of these stalls every
 #: concurrent dispatch, so RP07 flags it; coarse serialization locks with
-#: descriptive names (``_eval_lock``, ``_v1_lock``, ``_send_lock``,
-#: ``_conn_lock``) intentionally fall outside this set — blocking under them
-#: is their documented purpose.
+#: descriptive names (``_eval_lock``, ``_send_lock``, ``_conn_lock``)
+#: intentionally fall outside this set — blocking under them is their
+#: documented purpose.
 HOT_LOCK_ATTRS = frozenset({"_lock", "_cond", "_state_lock"})
 
 #: Constructors whose result is treated as a lock when assigned to ``self.X``.

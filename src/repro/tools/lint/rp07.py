@@ -15,8 +15,8 @@ Sanctioned patterns that are *not* flagged:
 * ``self._cond.wait(...)`` while holding ``self._cond`` — the
   producer/consumer idiom (the wait releases the lock it waits on);
 * blocking under a coarse serialization lock with a descriptive name
-  (``_eval_lock``, ``_v1_lock``, ``_send_lock``, ``_conn_lock``) — those
-  locks exist to serialize blocking work;
+  (``_eval_lock``, ``_send_lock``, ``_conn_lock``) — those locks exist
+  to serialize blocking work;
 * sites waived with ``# lint: disable=RP07`` plus a why-comment, or whole
   functions listed in ``flow.RP07_WAIT_ALLOWLIST``.
 

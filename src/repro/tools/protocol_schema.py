@@ -79,9 +79,8 @@ SANITIZED_CLASSES: dict[str, dict[str, tuple[str, ...]]] = {
         "EvalEngine": ("_state_lock",),
     },
     "repro.core.service": {
-        "MultiplexedConnection": ("_lock", "_send_lock", "_v1_lock"),
+        "MultiplexedConnection": ("_lock", "_send_lock"),
         "EvalWorkerServer": ("_problems_lock", "_eval_lock"),
-        "RemoteDispatcher": ("_lock",),
     },
     "repro.core.fleet": {
         "WorkerRegistry": ("_lock",),

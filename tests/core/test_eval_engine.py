@@ -12,7 +12,7 @@ from repro.baselines import RandomSearch
 from repro.core import DNNOpt, EvalEngine, default_workers
 from repro.problems import ConstrainedSphere, Sphere
 
-BACKENDS = ["serial", "thread", "process", "async"]
+BACKENDS = ["serial", "thread", "process"]
 
 
 class CountingSphere(Sphere):
@@ -236,6 +236,8 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         EvalEngine("gpu")
     with pytest.raises(ValueError):
+        EvalEngine("async")  # removed backend: thread covers it
+    with pytest.raises(ValueError):
         EvalEngine("thread", workers=0)
     with pytest.raises(ValueError):
         EvalEngine("serial", cache_size=-1)
@@ -248,7 +250,7 @@ def test_default_workers_positive():
 # ----------------------------------------------------------------------
 # Optimizer wiring: histories are backend-independent, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["thread", "process", "async"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_random_search_history_bit_identical(backend):
     serial = RandomSearch(Sphere(3), 20, seed=5).run()
     with EvalEngine(backend, workers=3) as engine:
@@ -259,7 +261,7 @@ def test_random_search_history_bit_identical(backend):
     np.testing.assert_array_equal(serial.feasible, parallel.feasible)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "async"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_batched_dnnopt_history_bit_identical(backend):
     problem_factory = lambda: ConstrainedSphere(3)
     serial = small_dnnopt(problem_factory(), 18, seed=7, batch_size=3).run()

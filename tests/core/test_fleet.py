@@ -364,6 +364,38 @@ def test_default_tenant_still_waits_on_empty_fleet():
     assert "F" not in result and "error" in result
 
 
+def test_pinned_fleet_without_registry_raises_once_every_pin_failed():
+    # Without listen() nothing but the pins can ever serve the fleet: once
+    # the only pin has failed, a dispatch raises ServiceError instead of
+    # waiting forever.  The join timeout turns a regression into a failure
+    # rather than a hung suite.
+    with socket.socket() as placeholder:
+        placeholder.bind(("127.0.0.1", 0))
+        dead = f"127.0.0.1:{placeholder.getsockname()[1]}"
+    problem = Sphere(2)
+    X = problem.space.sample(np.random.default_rng(1), 3)
+    result = {}
+    fleet = FleetCoordinator(hosts=[dead], poll_interval=0.05)
+    engine = fleet.engine("stranded")
+
+    def run():
+        try:
+            result["F"] = engine.evaluate_batch(problem, X)
+        except Exception as exc:
+            result["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=20)
+    hung = thread.is_alive()
+    fleet.close()  # aborts a stranded dispatch, so the thread always ends
+    thread.join(timeout=10)
+    engine.close()
+    assert not hung, "dispatch hung on a fleet whose only pin is dead"
+    assert isinstance(result.get("error"), service.ServiceError)
+    assert "failed on all hosts" in str(result["error"])
+
+
 def test_fleet_engine_rejects_bad_degraded_and_hedge_config():
     with FleetCoordinator() as fleet:
         with pytest.raises(ValueError, match="degraded"):

@@ -44,9 +44,9 @@ def test_optimizer_budget_exhausted_signal():
     class Greedy(Optimizer):
         name = "greedy"
 
-        def _run(self):
-            while True:  # relies on the base class stopping it
-                self.evaluate(self.problem.space.sample(self.rng, 1)[0])
+        def _ask(self, k):
+            # never stops proposing: relies on the driver enforcing budget
+            return self.problem.space.sample(self.rng, k or 1)
 
     history = Greedy(Sphere(2), 7, seed=0).run()
     assert history.n_evals == 7
@@ -57,9 +57,6 @@ def test_optimizer_rejects_bad_budget():
         class _X(Optimizer):
             name = "x"
 
-            def _run(self):
-                pass
-
         _X(Sphere(2), 0)
 
 
@@ -67,10 +64,9 @@ def test_simulation_time_accumulates():
     class OneShot(Optimizer):
         name = "one"
 
-        def _run(self):
-            self.evaluate(self.problem.space.sample(self.rng, 1)[0])
-
-    history = OneShot(Sphere(2), 3, seed=0).run()
+    opt = OneShot(Sphere(2), 3, seed=0)
+    opt.evaluate(opt.problem.space.sample(opt.rng, 1)[0])  # direct call
+    history = opt.history
     assert history.simulation_time >= 0.0
     assert history.n_evals == 1
 

@@ -329,6 +329,47 @@ def test_remote_survives_one_dead_host(service_hosts):
     np.testing.assert_array_equal(F, problem.evaluate_batch(X))
 
 
+def test_remote_engine_recovers_after_worker_restart_on_same_port():
+    # The only worker dies and comes back on the same port: a later batch
+    # on the same engine is served once the failed host is retried (a
+    # dispatch may fail while the worker is down or its host is still
+    # quarantined, so retry until a deadline).
+    import sys
+    import time
+    from pathlib import Path
+
+    proc, host = service.spawn_local_worker()
+    problem = Sphere(3)
+    try:
+        with EvalEngine("remote", hosts=[host]) as engine:
+            X = problem.space.sample(np.random.default_rng(13), 4)
+            np.testing.assert_array_equal(engine.evaluate_batch(problem, X),
+                                          problem.evaluate_batch(X))
+            proc.terminate()
+            proc.wait(timeout=10)
+            env = dict(os.environ)
+            env["PYTHONPATH"] = (str(Path(service.__file__).resolve().parents[2])
+                                 + os.pathsep + env.get("PYTHONPATH", ""))
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.core.service",
+                 "--port", str(service.parse_host(host)[1])],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+            X2 = problem.space.sample(np.random.default_rng(14), 4)
+            deadline = time.monotonic() + 60.0
+            while True:
+                try:
+                    F2 = engine.evaluate_batch(problem, X2)
+                    break
+                except service.ServiceError:
+                    assert time.monotonic() < deadline, (
+                        "the restarted worker never served a batch")
+                    time.sleep(0.1)
+        np.testing.assert_array_equal(F2, problem.evaluate_batch(X2))
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+
+
 # ----------------------------------------------------------------------
 # last-host-death / bounded failover (ServiceError) + close() semantics
 # ----------------------------------------------------------------------
@@ -542,7 +583,6 @@ def test_reader_death_fails_every_pending_waiter_promptly():
     peer = _SilentV2Peer()
     try:
         conn = service.MultiplexedConnection(peer.addr)
-        assert conn.multiplexed
         outcomes = []
 
         def ask():
@@ -604,7 +644,6 @@ def test_request_deadline_fires_and_late_duplicate_reply_is_discarded():
     thread.start()
     try:
         conn = service.MultiplexedConnection(listener.getsockname()[:2])
-        assert conn.multiplexed
         with pytest.raises(service.DeadlineExceeded, match="no reply"):
             conn.request({"op": "slow"}, timeout=0.2)
         # The late reply and its duplicate hit the reader before the next
@@ -617,32 +656,6 @@ def test_request_deadline_fires_and_late_duplicate_reply_is_discarded():
         stop.set()
         listener.close()
         thread.join(timeout=10)
-
-
-def test_v1_deadline_marks_connection_broken():
-    # On a v1 (serialized) connection a timeout desyncs the stream, so the
-    # connection must refuse further use instead of mismatching replies.
-    import base64
-    import pickle
-
-    from repro.problems import LatencyProblem
-
-    worker = _V1Worker()
-    try:
-        problem = LatencyProblem(Sphere(2), 0.5)  # slower than the deadline
-        conn = service.MultiplexedConnection(service.parse_host(worker.address))
-        assert not conn.multiplexed
-        blob = base64.b64encode(pickle.dumps(problem)).decode("ascii")
-        assert conn.request({"op": "put_problem", "token": "ab",
-                             "blob": blob})["ok"]
-        with pytest.raises(service.DeadlineExceeded, match="no reply"):
-            conn.request({"op": "eval", "token": "ab", "X": [[0.0, 0.0]]},
-                         timeout=0.1)
-        with pytest.raises(ConnectionError):  # stream desynced: refuse reuse
-            conn.request({"op": "hello"})
-        conn.close()
-    finally:
-        worker.close()
 
 
 def test_register_loop_survives_registry_restart():
@@ -700,11 +713,28 @@ def test_last_host_death_raises_service_error_promptly():
 
 
 def test_chunk_requeue_budget_is_bounded():
-    dispatcher = service.RemoteDispatcher(["127.0.0.1:1"],
-                                          max_chunk_requeues=0)
-    assert dispatcher.max_chunk_requeues == 0
-    default = service.RemoteDispatcher(["127.0.0.1:1", "127.0.0.1:2"])
-    assert default.max_chunk_requeues == 4  # 2 per configured host
+    # A chunk that kills every worker it lands on is abandoned after a
+    # bounded number of failovers, even on a fleet that could still gain
+    # workers (its registry server is listening, so it keeps retrying the
+    # quarantined pins instead of giving up on them).
+    from repro.core.fleet import FleetCoordinator
+    workers = [_FlakyWorker("die"), _FlakyWorker("die")]
+    try:
+        with FleetCoordinator(hosts=[w.address for w in workers],
+                              poll_interval=0.05,
+                              max_chunk_requeues=2) as fleet:
+            fleet.listen()
+            engine = fleet.engine("doomed")
+            with pytest.raises(service.ServiceError, match="abandoned after"):
+                engine.evaluate_batch(Sphere(2), np.zeros((1, 2)))
+            engine.close()
+        # at most one eval per failover plus the one that exhausts the
+        # budget (a slot that picks the chunk off a dead connection fails
+        # it without sending)
+        assert 1 <= sum(w.eval_requests for w in workers) <= 3
+    finally:
+        for w in workers:
+            w.close()
 
 
 def test_engine_close_with_inflight_remote_submit_raises_not_hangs():
@@ -729,14 +759,20 @@ def test_engine_close_with_inflight_remote_submit_raises_not_hangs():
 
 
 def test_closed_dispatcher_refuses_new_work():
-    dispatcher = service.RemoteDispatcher(["127.0.0.1:1"])
-    dispatcher.close()
+    # Closing a remote engine closes the private fleet it owns: the engine
+    # and its dispatcher both refuse further work.
+    problem = Sphere(2)
+    engine = EvalEngine("remote", hosts=["127.0.0.1:1"])
+    dispatcher = engine._remote
+    engine.close()
     with pytest.raises(service.ServiceError, match="closed"):
-        dispatcher._connection(("127.0.0.1", 1))
+        dispatcher.dispatch(problem, b"token", np.zeros((1, 2)))
+    with pytest.raises(RuntimeError, match="closed"):
+        engine.evaluate_batch(problem, np.zeros((1, 2)))
 
 
 # ----------------------------------------------------------------------
-# protocol v2: multiplexing, v1 compat, spawn robustness
+# multiplexing, protocol-version refusal, spawn robustness
 # ----------------------------------------------------------------------
 def test_spawn_local_worker_survives_startup_noise(monkeypatch):
     # Interpreter chatter on the merged stderr/stdout stream used to eat
@@ -765,8 +801,7 @@ def test_v2_connection_answers_stats_while_eval_in_flight(local_server):
     problem = LatencyProblem(Sphere(2), 0.4)
     conn = service.MultiplexedConnection((local_server.host, local_server.port))
     try:
-        assert conn.protocol == service.PROTOCOL_VERSION
-        assert conn.multiplexed
+        assert conn.hello["protocol"] == service.PROTOCOL_VERSION
         engine = EvalEngine()
         token = engine._problem_token(problem).hex()
         engine.close()
@@ -788,93 +823,29 @@ def test_v2_connection_answers_stats_while_eval_in_flight(local_server):
         waited = _time.perf_counter() - t0
         thread.join(30)
         assert stats["ok"] and result["reply"]["ok"]
-        # a v1-serialized connection would have waited ~0.65 s here
+        # a connection serialized per request would have waited ~0.65 s
         assert waited < 0.4
     finally:
         conn.close()
 
 
-class _V1Worker:
-    """A strict protocol-1 shard: id-less frames, in-order replies."""
+def test_protocol_1_worker_is_refused():
+    # Every worker speaks PROTOCOL_VERSION; a peer announcing protocol 1 in
+    # its hello is refused at the handshake, before any request is sent.
+    listener = socket.create_server(("127.0.0.1", 0))
 
-    def __init__(self):
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._problems = {}
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        self._listener.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._session, args=(conn,),
-                             daemon=True).start()
-
-    def _session(self, conn):
-        import base64
-        import pickle
+    def peer():
+        conn, _ = listener.accept()
         with conn:
-            while not self._stop.is_set():
-                try:
-                    msg = service.recv_msg(conn)
-                except (ConnectionError, OSError, ValueError):
-                    return
-                if msg is None:
-                    return
-                op = msg.get("op")
-                if op == "hello":
-                    reply = {"ok": True, "protocol": 1}
-                elif op == "put_problem":
-                    self._problems[msg["token"]] = pickle.loads(
-                        base64.b64decode(msg["blob"]))
-                    reply = {"ok": True}
-                elif op == "eval":
-                    problem = self._problems.get(msg["token"])
-                    if problem is None:
-                        reply = {"ok": False, "need_problem": True,
-                                 "error": "unknown token"}
-                    else:
-                        F = [np.asarray(problem.evaluate(np.asarray(x)),
-                                        dtype=np.float64).tolist()
-                             for x in msg["X"]]
-                        reply = {"ok": True, "F": F, "counters": {},
-                                 "n_sims": len(F)}
-                else:
-                    reply = {"ok": False, "error": "unknown op"}
-                # protocol 1: never echo an id, reply strictly in order
-                try:
-                    service.send_msg(conn, reply)
-                except OSError:
-                    return
+            if (service.recv_msg(conn) or {}).get("op") == "hello":
+                service.send_msg(conn, {"ok": True, "protocol": 1})
+            service.recv_msg(conn)  # hold the socket until the client drops
 
-    def close(self):
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-
-def test_v1_worker_compat_handshake_and_dispatch():
-    # A v2 coordinator against a protocol-1 shard drops to serialized
-    # request/reply at the hello handshake and still evaluates correctly.
-    worker = _V1Worker()
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
     try:
-        conn = service.MultiplexedConnection(service.parse_host(worker.address))
-        assert conn.protocol == 1
-        assert not conn.multiplexed
-        conn.close()
-        problem = Sphere(3)
-        X = problem.space.sample(np.random.default_rng(2), 7)
-        with EvalEngine("remote", hosts=[worker.address]) as engine:
-            np.testing.assert_array_equal(engine.evaluate_batch(problem, X),
-                                          problem.evaluate_batch(X))
+        with pytest.raises(ConnectionError, match="bad hello"):
+            service.MultiplexedConnection(listener.getsockname()[:2])
     finally:
-        worker.close()
+        listener.close()
+        thread.join(timeout=10)

@@ -151,7 +151,6 @@ def test_budget_exhausted_public_direct_call():
 
 
 def test_budget_exhausted_aliases_old_private_name():
-    assert Optimizer._BudgetExhausted is BudgetExhausted
     assert isinstance(BudgetExhausted(), Exception)
 
 
@@ -226,7 +225,7 @@ def test_engine_stats_are_per_run_deltas():
 @pytest.mark.parametrize("depth", [2, 4])
 def test_pipelined_random_search_bit_identical(depth):
     serial = RandomSearch(Sphere(3), 20, 9).run()
-    with EvalEngine("async", workers=2) as engine:
+    with EvalEngine("thread", workers=2) as engine:
         pipelined = Study(RandomSearch(Sphere(3), 20, 9), engine=engine,
                           pipeline_depth=depth).run()
     assert_history_equal(serial, pipelined)
@@ -236,7 +235,7 @@ def test_pipelined_batched_random_search_bit_identical():
     # ask_size batches the draws, pipeline keeps them in flight; RandomSearch
     # consumes one RNG draw per design either way.
     serial = RandomSearch(Sphere(3), 21, 4).run()
-    with EvalEngine("async", workers=3) as engine:
+    with EvalEngine("thread", workers=3) as engine:
         pipelined = Study(RandomSearch(Sphere(3), 21, 4), engine=engine,
                           ask_size=4, pipeline_depth=3).run()
     assert_history_equal(serial, pipelined)
@@ -249,7 +248,7 @@ def test_pipelined_histories_replay_to_same_evaluations(name, factory):
     # deterministic simulator answer for its design, the budget must be
     # respected exactly, and the run must be seed-reproducible.
     def run_once():
-        with EvalEngine("async", workers=2) as engine:
+        with EvalEngine("thread", workers=2) as engine:
             return Study(factory(ConstrainedSphere(2), 14, 3), engine=engine,
                          pipeline_depth=2).run()
 
@@ -296,7 +295,7 @@ def test_stop_when_feasible_pipelined_matches_serial_protocol():
                                    stop_when_feasible=True)
     reference = serial_one_query_reference(
         lambda: RandomSearch(ConstrainedSphere(2), 60, 12))
-    with EvalEngine("async", workers=2) as engine:
+    with EvalEngine("thread", workers=2) as engine:
         got = Study(factory(), engine=engine, ask_size=5,
                     pipeline_depth=3).run()
     assert_history_equal(reference, got)
@@ -470,7 +469,7 @@ class SlowCountingSphere(Sphere):
         return super()._evaluate(x)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "async"])
+@pytest.mark.parametrize("backend", ["serial", "thread"])
 def test_submit_gather_matches_evaluate_batch(backend):
     problem = Sphere(3)
     X = problem.space.sample(np.random.default_rng(0), 9)

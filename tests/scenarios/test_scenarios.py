@@ -8,7 +8,7 @@ Load-bearing contracts pinned here:
   cache/dedup/disk entries (distinct content fingerprints), while the same
   corner re-fingerprints identically in a separate interpreter;
 * corner fan-out through ``EvalEngine.submit``/``gather`` is bit-identical
-  across the serial, thread, async and fleet backends;
+  across the serial, thread and fleet backends;
 * seeded mismatch Monte Carlo is reproducible (same seed → same rows);
 * adaptive-gating decisions derive only from told rows, so a checkpoint
   resume replays them exactly (bit-identical finished history).
@@ -255,8 +255,6 @@ def test_corner_fanout_bit_identical_across_backends(two_local_servers):
     backends = {}
     with EvalEngine("thread", workers=4) as engine:
         backends["thread"] = make_corner_study(engine).run()
-    with EvalEngine("async", workers=4) as engine:
-        backends["async"] = make_corner_study(engine).run()
     hosts = [server.address for server in two_local_servers]
     with FleetCoordinator(hosts=hosts) as fleet:
         engine = fleet.engine("corner-study")

@@ -270,6 +270,5 @@ def test_src_lock_graph_is_acyclic_with_expected_edges():
         ("EvalEngine._state_lock", "DiskCache._lock"),
         ("EvalWorkerServer._eval_lock", "EvalEngine._state_lock"),
         ("FleetCoordinator._cond", "_DispatchState._lock"),
-        ("MultiplexedConnection._v1_lock", "MultiplexedConnection._lock"),
     ]:
         assert edge in graph.edges, edge
