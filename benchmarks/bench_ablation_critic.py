@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core import Critic, generate_pseudo_samples
 from repro.experiments import render_table
-from repro.nn import MLP, Adam, StandardScaler, Tensor, mse_loss
+from repro.nn import MLP, StandardScaler
 from repro.problems import Ackley, Hartmann6, Rosenbrock, Sphere
 
 PROBLEMS = {"sphere": Sphere, "rosenbrock": Rosenbrock,
@@ -21,17 +21,11 @@ N_TEST = 200
 
 
 def _fit_plain_net(Xn, Yn, rng):
-    """d-input baseline: same capacity/epochs, raw samples only."""
+    """d-input baseline: same capacity, raw samples only, 200 full-batch Adam steps."""
     net = MLP(Xn.shape[1], Yn.shape[1], (64, 64), rng=rng)
     scaler = StandardScaler()
     targets = scaler.fit_transform(Yn)
-    optimizer = Adam(net.parameters(), lr=1e-3)
-    for _ in range(200):
-        prediction = net(Tensor(Xn))
-        loss = mse_loss(prediction, Tensor(targets))
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
+    net.fit_mse(Xn, targets, lr=1e-3, epochs=200, batch_size=len(Xn), rng=rng)
     return lambda X: scaler.inverse_transform(net.predict(X))
 
 

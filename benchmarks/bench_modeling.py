@@ -1,13 +1,13 @@
-"""Modeling-layer benchmark: the fused critic trainer vs the per-op autograd tape.
+"""Modeling-layer benchmark: the fused critic trainer vs an unfused per-layer reference.
 
 Times DNN-Opt's dominant modeling step, ``Critic.fit`` at the 8000
 pseudo-sample cap for 20 epochs (folded-cascode sized: 20 design variables,
 so a 40-input critic, and 6 normalized performance outputs), two ways on the
 same data and initial weights:
 
-* ``tape``: the reference path, one tape node per layer op through the
-  critic's ``net.net`` modules, ``mse_loss(...).backward()`` and
-  ``Adam.step`` per minibatch, on float32 copies of the weights and data;
+* ``reference``: the same arithmetic written out one layer at a time in
+  plain NumPy (forward, MSE gradient, backward) with ``Adam.step`` per
+  minibatch, on float32 copies of the weights and data;
 * ``fused``: ``Critic.fit`` itself, i.e. ``MLP.fit_mse`` (fused forward,
   fused VJP, one flat Adam update per minibatch, in float32).
 
@@ -26,7 +26,7 @@ does not depend on the values.  That time is reported, not guarded.
 
 Results are written to ``BENCH_modeling.json`` (override with ``--out``).
 ``--check BASELINE.json`` turns the run into a regression gate: it fails
-when the measured fused-vs-tape *speedup ratio* drops more than 40% below
+when the measured fused-vs-reference *speedup ratio* drops more than 40% below
 the committed baseline's.  Both paths run on one host in one process, so
 the ratio is machine-portable where absolute seconds are not.
 """
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.circuits import FoldedCascodeOTA
 from repro.core import Critic, DNNOpt, generate_pseudo_samples
-from repro.nn import Adam, Tensor, mse_loss
+from repro.nn import Adam
 
 #: fraction of the baseline speedup the measured speedup must retain.
 REGRESSION_FLOOR = 0.6
@@ -66,13 +66,18 @@ def fresh_critic() -> Critic:
     return Critic(DIM, OUTPUTS, rng=np.random.default_rng(SEED + 1))
 
 
-def tape_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """The same float32 training as ``Critic.fit``, one tape node per layer op."""
+def reference_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """The same float32 training as ``Critic.fit``, one layer at a time.
+
+    The critic's hidden layers are ReLU and its output is linear.
+    """
     scaled = critic.target_scaler.fit_transform(targets).astype(np.float32)
     inputs = inputs.astype(np.float32)
-    for p in critic.net.parameters():
+    params = critic.net.parameters()
+    for p in params:
         p.data = p.data.astype(np.float32)
-    optimizer = Adam(critic.net.parameters(), lr=critic.lr)
+    optimizer = Adam(params, lr=critic.lr)
+    depth = len(params) // 2
     n = len(inputs)
     batch = min(critic.batch_size, n)
     last_loss = np.inf
@@ -81,11 +86,21 @@ def tape_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
         losses = []
         for start in range(0, n, batch):
             rows = order[start:start + batch]
-            loss = mse_loss(critic.net.net(Tensor(inputs[rows])), Tensor(scaled[rows]))
-            optimizer.zero_grad()
-            loss.backward()
+            layers = [inputs[rows]]  # each layer's input, then the output
+            for i in range(depth):
+                z = layers[i] @ params[2 * i].data + params[2 * i + 1].data
+                layers.append(z if i == depth - 1 else np.maximum(z, 0.0))
+            diff = layers[-1] - scaled[rows]
+            scale = 1.0 / diff.size
+            losses.append(float((diff * diff).sum() * scale))
+            grad = scale * diff + scale * diff
+            for i in reversed(range(depth)):
+                if i < depth - 1:
+                    grad = grad * (layers[i + 1] > 0.0)
+                params[2 * i].grad = layers[i].T @ grad
+                params[2 * i + 1].grad = grad.sum(axis=0)
+                grad = grad @ params[2 * i].data.T
             optimizer.step()
-            losses.append(loss.item())
         last_loss = float(np.mean(losses))
     return last_loss
 
@@ -131,10 +146,11 @@ def run(quick: bool) -> dict:
     inputs, targets = training_set()
     print(f"critic fit, {len(inputs)} rows x {fresh_critic().epochs} epochs "
           f"({reps} reps/path)...", flush=True)
-    tape_s, tape_loss, tape_weights = time_fit(tape_fit, inputs, targets, reps)
+    reference_s, reference_loss, reference_weights = time_fit(reference_fit, inputs,
+                                                              targets, reps)
     fused_s, fused_loss, fused_weights = time_fit(Critic.fit, inputs, targets, reps)
-    identical = tape_loss == fused_loss and all(
-        np.array_equal(a, b) for a, b in zip(tape_weights, fused_weights))
+    identical = reference_loss == fused_loss and all(
+        np.array_equal(a, b) for a, b in zip(reference_weights, fused_weights))
     print(f"DNN-Opt modeling iteration, folded-cascode, {ITERATION_ARCHIVE}-row archive "
           f"({reps} reps)...", flush=True)
     iteration_s = time_iteration(reps)
@@ -143,19 +159,19 @@ def run(quick: bool) -> dict:
         "quick": quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "metric_note": ("'speedup' (fused vs tape critic fit on one host) is the "
-                        "machine-portable guarded metric; absolute seconds are "
-                        "host-dependent."),
+        "metric_note": ("'speedup' (fused vs per-layer reference critic fit on one "
+                        "host) is the machine-portable guarded metric; absolute "
+                        "seconds are host-dependent."),
         "critic_fit": {
             "rows": len(inputs),
             "epochs": fresh_critic().epochs,
             "reps": reps,
-            "tape_s": tape_s,
+            "reference_s": reference_s,
             "fused_s": fused_s,
             "final_loss": fused_loss,
         },
         "bit_identical": identical,
-        "speedup": tape_s / fused_s,
+        "speedup": reference_s / fused_s,
         "modeling_iteration": {
             "problem": "folded_cascode",
             "archive_rows": ITERATION_ARCHIVE,
@@ -167,8 +183,8 @@ def run(quick: bool) -> dict:
 
 def report(results: dict) -> None:
     fit = results["critic_fit"]
-    print(f"  tape : {fit['tape_s']:.3f} s")
-    print(f"  fused: {fit['fused_s']:.3f} s")
+    print(f"  reference: {fit['reference_s']:.3f} s")
+    print(f"  fused    : {fit['fused_s']:.3f} s")
     print(f"  speedup: {results['speedup']:.2f}x   bit-identical: {results['bit_identical']}")
     print(f"  modeling iteration: {results['modeling_iteration']['seconds']:.3f} s")
 
@@ -201,7 +217,7 @@ def main(argv=None) -> int:
     print(f"\nwrote {out_path}")
 
     if not results["bit_identical"]:
-        print("fused and tape critic training diverged", file=sys.stderr)
+        print("fused and reference critic training diverged", file=sys.stderr)
         return 1
     if args.check and check_against(results, Path(args.check)):
         print(f"perf regression vs {args.check}", file=sys.stderr)

@@ -3,7 +3,7 @@
 An RL-inspired two-stage DNN black-box optimizer for analog circuit sizing,
 together with everything needed to reproduce the paper end-to-end offline:
 
-* :mod:`repro.nn` — NumPy autograd + MLP substrate (PyTorch substitute);
+* :mod:`repro.nn` — fused NumPy MLP + Adam substrate (PyTorch substitute);
 * :mod:`repro.spice` — a from-scratch SPICE-class circuit simulator;
 * :mod:`repro.circuits` — the paper's six benchmark circuits;
 * :mod:`repro.problems` — constrained-problem abstraction + synthetic suite;

@@ -5,7 +5,7 @@ from .actor import Actor
 from .critic import Critic
 from .dnn_opt import DNNOpt
 from .engine import EvalEngine, EvalHandle, default_workers
-from .fom import fom_from_raw, fom_normalized, fom_tensor
+from .fom import fom_from_raw, fom_normalized
 from .history import BudgetExhausted, OptimizationHistory, Optimizer
 from .pseudo import generate_pseudo_samples
 from .study import Study
@@ -34,7 +34,6 @@ __all__ = [
     "WarmStart",
     "fom_normalized",
     "fom_from_raw",
-    "fom_tensor",
     "generate_pseudo_samples",
 ]
 

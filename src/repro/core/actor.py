@@ -9,17 +9,18 @@ large quadratic penalty on leaving the restricted region:
     L = mean_k g[Q(x_k, mu(x_k))] + || lambda * viol_k ||^2        (Eq. 5)
     viol = max(0, lb - (x + dx)) + max(0, (x + dx) - ub)           (Eq. 6)
 
-Critic weights are frozen during actor training; gradients flow through the
-critic's *inputs* into the actor parameters, exactly as in DDPG.
+The loss is one graph node (:meth:`Actor._loss`) on top of the actor's fused
+MLP node.  Its backward is written by hand: the critic's weights are
+constants, and the gradient flows through the critic's *inputs* (via the
+critic's fused VJP) into the actor parameters, exactly as in DDPG.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, Adam, Tensor, concatenate, maximum
+from ..nn import MLP, Adam, Tensor
 from .critic import Critic
-from .fom import fom_tensor
 
 __all__ = ["Actor"]
 
@@ -61,32 +62,60 @@ class Actor:
             batch.append(np.clip(anchors + jitter, 0.0, 1.0))
         x_train = np.vstack(batch)
 
-        critic_params = critic.net.parameters()
-        frozen = [p.requires_grad for p in critic_params]
-        for p in critic_params:
-            p.requires_grad = False
-        try:
-            optimizer = Adam(self.net.parameters(), lr=self.lr)
-            x_const = Tensor(x_train)
-            lb_t = Tensor(lb_rest.reshape(1, -1))
-            ub_t = Tensor(ub_rest.reshape(1, -1))
-            last = np.inf
-            for _ in range(self.epochs):
-                dx = self.net(x_const) * self.step_scale
-                prediction = critic.forward_tensor(concatenate([x_const, dx], axis=1))
-                g = fom_tensor(prediction, w0, weights)
-                moved = x_const + dx
-                viol = maximum(lb_t - moved, 0.0) + maximum(moved - ub_t, 0.0)
-                penalty = ((viol * lam) ** 2).sum(axis=1)
-                loss = (g + penalty).mean()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                last = loss.item()
-        finally:
-            for p, flag in zip(critic_params, frozen):
-                p.requires_grad = flag
+        optimizer = Adam(self.net.parameters(), lr=self.lr)
+        x_const = Tensor(x_train)
+        last = np.inf
+        for _ in range(self.epochs):
+            loss = self._loss(self.net(x_const), x_train, critic, lb_rest, ub_rest,
+                              w0, weights, lam)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            last = loss.item()
         return float(last)
+
+    def _loss(self, out: Tensor, x: np.ndarray, critic: Critic, lb: np.ndarray,
+              ub: np.ndarray, w0: float, weights: np.ndarray, lam: float) -> Tensor:
+        """Eq. 5-6 loss of the actor output ``out`` at designs ``x``, as one graph node.
+
+        Forward: ``dx = out * step_scale``, the critic's un-scaled prediction
+        at ``[x, dx]``, the clipped FoM (Eq. 4) and the squared ``max(0, .)``
+        penalty, averaged over rows.  The backward is hand-written, with the
+        clip's subgradient (a constraint term outside ``0 <= wi fi <= 1``
+        passes no gradient) and the critic's weights held constant.
+        """
+        critic._check_trained()
+        n, d = x.shape
+        dx = out.data * self.step_scale
+        x_dx = np.concatenate([x, dx], axis=1)
+        cw = [p.data for p in critic.net._weights()]
+        cache = critic.net._forward(x_dx, cw)
+        scaler = critic.target_scaler
+        pred = cache[-1][1] * scaler.scale_ + scaler.mean_
+        weights_row = np.asarray(weights, dtype=np.float64).reshape(1, -1)
+        wf = pred[:, 1:] * weights_row
+        g = pred[:, 0:1] * w0 + np.clip(wf, 0.0, 1.0).sum(axis=1, keepdims=True)
+        moved = x + dx
+        below = lb.reshape(1, -1) - moved
+        above = moved - ub.reshape(1, -1)
+        scaled_viol = (np.maximum(below, 0.0) + np.maximum(above, 0.0)) * lam
+        penalty = (scaled_viol ** 2.0).sum(axis=1)
+        loss = (g[:, 0] + penalty).sum() * (1.0 / n)
+
+        def backward(grad):
+            g_row = grad * (1.0 / n)  # of each row's FoM + penalty
+            # Penalty: d/d(moved) of sum((lam * viol)^2), through both max(0, .).
+            g_viol = g_row * 2.0 * scaled_viol * lam
+            g_moved = g_viol * (above >= 0.0) - g_viol * (below >= 0.0)
+            # FoM: the objective term, and each constraint term inside its clip band.
+            g_pred = np.zeros_like(pred)
+            g_pred[:, 0:1] += g_row * w0
+            g_pred[:, 1:] += g_row * ((wf >= 0.0) & (wf <= 1.0)) * weights_row
+            g_x_dx, _ = critic.net._vjp(x_dx, cache, cw, g_pred * scaler.scale_,
+                                        [False] * len(cw), True)
+            return ((out, (g_x_dx[:, d:] + g_moved) * self.step_scale),)
+
+        return out._make(loss, (out,), backward)
 
     def propose(self, x: np.ndarray) -> np.ndarray:
         """Proposed displacement ``dx`` for each design row of ``x``."""

@@ -3,15 +3,15 @@
 The critic is an MLP mapping the 2d-dimensional ``[x, dx]`` input to the
 ``m+1`` normalized performance predictions.  Targets are z-scored before
 training (heterogeneous specs would otherwise dominate the joint MSE) and
-un-scaled on prediction; the same affine un-scaling is applied inside the
-autograd graph during actor training so FoM gradients are exact.
+un-scaled on prediction; the actor's training loss applies the same affine
+un-scaling (and its Jacobian) so FoM gradients are exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, StandardScaler, Tensor
+from ..nn import MLP, StandardScaler
 
 __all__ = ["Critic"]
 
@@ -58,12 +58,6 @@ class Critic:
         dx = np.atleast_2d(dx)
         scaled = self.net.predict(np.concatenate([x, dx], axis=1))
         return self.target_scaler.inverse_transform(scaled)
-
-    def forward_tensor(self, x_dx: Tensor) -> Tensor:
-        """Differentiable forward pass returning *unscaled* predictions."""
-        self._check_trained()
-        scaled = self.net(x_dx)
-        return scaled * self.target_scaler.scale_ + self.target_scaler.mean_
 
     def validation_rmse(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """RMSE on held-out pseudo-samples, in normalized-spec units."""

@@ -5,9 +5,9 @@
 operating on *normalized* performance rows (objective divided by its
 reference scale, constraints in the ``fi <= 0`` violation form).  The
 ``max`` clip equates all designs once a constraint is met; the ``min`` clip
-stops one badly-violated constraint from dominating.  Both a NumPy version
-(ranking, selection, curves) and an autograd version (the actor's training
-loss, Eq. 5) are provided — they compute the same function.
+stops one badly-violated constraint from dominating.  The actor's training
+loss (Eq. 5, :meth:`repro.core.Actor._loss`) computes the same function on
+critic predictions, with its gradient written by hand.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ..nn import Tensor
-
-__all__ = ["fom_normalized", "fom_from_raw", "fom_tensor"]
+__all__ = ["fom_normalized", "fom_from_raw"]
 
 
 def fom_normalized(Fn: np.ndarray, w0: float, weights: np.ndarray) -> np.ndarray:
@@ -36,17 +34,3 @@ def fom_from_raw(problem: Any, F_raw: np.ndarray) -> np.ndarray:
     Fn = np.atleast_2d(problem.normalize(F_raw))
     return fom_normalized(Fn, problem.objective.weight, problem.constraint_weights())
 
-
-def fom_tensor(prediction: Tensor, w0: float, weights: np.ndarray) -> Tensor:
-    """Differentiable FoM of critic predictions, shape ``(n, m+1) -> (n,)``.
-
-    Gradients flow through the objective term everywhere and through each
-    constraint term only while ``0 < wi fi < 1`` (the clip's subgradient),
-    matching the behaviour implied by Eq. 5.
-    """
-    objective = prediction[:, 0:1] * w0
-    if prediction.shape[1] > 1:
-        weights_row = np.asarray(weights, dtype=np.float64).reshape(1, -1)
-        clipped = (prediction[:, 1:] * weights_row).clip(0.0, 1.0)
-        return (objective + clipped.sum(axis=1, keepdims=True)).sum(axis=1)
-    return objective.sum(axis=1)

@@ -1,34 +1,27 @@
-"""A small NumPy deep-learning substrate (autograd, layers, optimizers).
+"""A small NumPy deep-learning substrate (fused MLP, graph core, Adam).
 
-This package replaces PyTorch for the DNN-Opt reproduction: it provides
-reverse-mode automatic differentiation on NumPy arrays, MLP building blocks,
-the Adam optimizer, the MSE loss (the per-op tape reference for the fused
-critic trainer) and the z-score scaler the critic normalizes its targets with.
+This package replaces PyTorch for the DNN-Opt reproduction: it provides the
+MLP both networks are built from (a fused forward pass and a hand-written
+VJP), the parameter-holding :class:`Tensor` with a reverse-mode graph core
+for fused primitives, the Adam optimizer and the z-score scaler the critic
+normalizes its targets with.
 """
 
-from .tensor import Tensor, concatenate, maximum, minimum, where
-from .layers import MLP, Identity, LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
-from .optim import Adam, Optimizer
-from .losses import mse_loss
+from .tensor import Tensor
+from .layers import MLP, Identity, LeakyReLU, Linear, Module, ReLU, Sigmoid, Tanh
+from .optim import Adam
 from .scaler import StandardScaler
 
 __all__ = [
     "Tensor",
-    "concatenate",
-    "maximum",
-    "minimum",
-    "where",
     "Module",
     "Linear",
     "MLP",
-    "Sequential",
     "ReLU",
     "LeakyReLU",
     "Tanh",
     "Sigmoid",
     "Identity",
-    "Optimizer",
     "Adam",
-    "mse_loss",
     "StandardScaler",
 ]

@@ -1,18 +1,15 @@
-"""Neural-network layers built on :class:`repro.nn.tensor.Tensor`.
+"""Neural-network layers: the MLP the paper's actor and critic are built from.
 
-The paper's actor and critic are plain multi-layer perceptrons; this module
-provides the :class:`Module` base class, :class:`Linear` affine maps, the
-usual activations and the :class:`MLP` both networks are built from.
+This module provides the :class:`Module` parameter container, the
+:class:`Linear` parameter holder, the usual activations and the :class:`MLP`
+both networks are built from.
 
-:class:`MLP` runs as one fused kernel rather than one tape node per layer
-op: a forward pass that keeps every layer's pre-activation and activation,
-and a hand-written vector-Jacobian product (VJP) for the whole
-Linear+activation stack.  Each activation module therefore carries its own
-``apply``/``vjp`` pair next to the per-op :class:`Tensor` method it mirrors;
-the fused kernel reproduces the per-op tape's arithmetic operation for
-operation, so both give bit-identical values and gradients, in float64 and
-in float32 alike (each piece follows the dtype of the arrays it receives).
-:meth:`MLP.fit_mse` trains in float32; everything else runs in float64.
+:class:`MLP` runs as one fused kernel: a forward pass that keeps every
+layer's pre-activation and activation, and a hand-written vector-Jacobian
+product (VJP) for the whole Linear+activation stack.  Each activation
+carries its own ``apply``/``vjp`` pair, and every piece follows the dtype of
+the arrays it receives: :meth:`MLP.fit_mse` trains in float32; everything
+else runs in float64.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .optim import Adam
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor
 
 __all__ = [
     "Module",
@@ -30,11 +27,8 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "Identity",
-    "Sequential",
     "MLP",
 ]
-
-_ACTIVATIONS = {}
 
 
 class Module:
@@ -75,15 +69,9 @@ class Module:
                 raise ValueError(f"shape mismatch: {param.data.shape} vs {array.shape}")
             param.data = array.copy()
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
-
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class Linear(Module):
-    """Affine layer ``y = x W + b`` with He/Xavier initialization."""
+    """Parameters of the affine layer ``y = x W + b``, He/Xavier-initialized."""
 
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
                  init: str = "he"):
@@ -101,19 +89,13 @@ class Linear(Module):
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
-
 
 # Each activation's ``apply(z)`` and ``vjp(grad, z, a)`` (``a = apply(z)``)
-# repeat the arithmetic of the Tensor method its ``forward`` calls, in the
-# dtype of the arrays they receive (Python-float constants never promote).
+# compute in the dtype of the arrays they receive (Python-float constants
+# never promote).
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
+class ReLU:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
 
@@ -121,12 +103,9 @@ class ReLU(Module):
         return grad * (z > 0.0)
 
 
-class LeakyReLU(Module):
+class LeakyReLU:
     def __init__(self, slope: float = 0.01):
         self.slope = slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.slope)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return np.where(z > 0.0, z, self.slope * z)
@@ -135,10 +114,7 @@ class LeakyReLU(Module):
         return np.where(z > 0.0, grad, grad * self.slope)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
+class Tanh:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return np.tanh(z)
 
@@ -146,10 +122,7 @@ class Tanh(Module):
         return grad * (1.0 - a**2)
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
+class Sigmoid:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
@@ -157,10 +130,7 @@ class Sigmoid(Module):
         return grad * a * (1.0 - a)
 
 
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
+class Identity:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return z
 
@@ -168,34 +138,23 @@ class Identity(Module):
         return grad
 
 
-_ACTIVATIONS.update({
+_ACTIVATIONS = {
     "relu": ReLU,
     "leaky_relu": LeakyReLU,
     "tanh": Tanh,
     "sigmoid": Sigmoid,
     "identity": Identity,
-})
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module):
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x
+}
 
 
 class MLP(Module):
     """Multi-layer perceptron ``in -> hidden... -> out``.
 
-    ``net`` holds the ``Linear``/activation modules in order; their
-    parameters are the MLP's.  Calling the MLP on a :class:`Tensor` records
-    a single tape node whose backward is the fused VJP, :meth:`predict` is a
-    plain NumPy forward pass, and :meth:`fit_mse` trains without the tape.
+    ``layers`` holds the ``Linear`` layers and activations in order; the
+    ``Linear`` parameters are the MLP's.  Calling the MLP on a
+    :class:`Tensor` records a single graph node whose backward is the fused
+    VJP, :meth:`predict` is a plain NumPy forward pass, and :meth:`fit_mse`
+    trains without building a graph.
 
     Parameters
     ----------
@@ -221,26 +180,26 @@ class MLP(Module):
             raise ValueError(f"unknown activation: {output_activation!r}")
         init = "he" if activation in ("relu", "leaky_relu") else "xavier"
         widths = [in_features, *hidden]
-        layers: list[Module] = []
+        layers: list = []
         for w_in, w_out in zip(widths[:-1], widths[1:]):
             layers.append(Linear(w_in, w_out, rng=rng, init=init))
             layers.append(_ACTIVATIONS[activation]())
         layers.append(Linear(widths[-1], out_features, rng=rng, init="xavier"))
         layers.append(_ACTIVATIONS[output_activation]())
-        self.net = Sequential(*layers)
+        self.layers = layers
         self.in_features = in_features
         self.out_features = out_features
 
     def _weights(self) -> list[Tensor]:
         """``[W0, b0, W1, b1, ...]`` whether or not they currently require grad."""
-        return [p for linear in self.net.modules[0::2] for p in (linear.weight, linear.bias)]
+        return [p for linear in self.layers[0::2] for p in (linear.weight, linear.bias)]
 
     def _forward(self, x: np.ndarray,
                  weights: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Fused forward pass; returns each layer's ``(pre-activation, activation)``."""
         cache = []
         a = x
-        for W, b, act in zip(weights[0::2], weights[1::2], self.net.modules[1::2]):
+        for W, b, act in zip(weights[0::2], weights[1::2], self.layers[1::2]):
             z = a @ W
             z += b
             a = act.apply(z)
@@ -256,20 +215,20 @@ class MLP(Module):
         input gradient is ``None`` unless ``need_input``.
         """
         grads: list[np.ndarray | None] = [None] * len(weights)
-        activations = self.net.modules[1::2]
+        activations = self.layers[1::2]
         for i in reversed(range(len(cache))):
             z, a = cache[i]
             grad = activations[i].vjp(grad, z, a)
             if need[2 * i]:
                 grads[2 * i] = (cache[i - 1][1] if i else x).T @ grad
             if need[2 * i + 1]:
-                grads[2 * i + 1] = _unbroadcast(grad, weights[2 * i + 1].shape)
+                grads[2 * i + 1] = grad.sum(axis=0)
             if i == 0 and not need_input:
                 return None, grads
             grad = grad @ weights[2 * i].T
         return grad, grads
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         x = Tensor._lift(x)
         params = self._weights()
         weights = [p.data for p in params]
@@ -284,13 +243,13 @@ class MLP(Module):
         return x._make(cache[-1][1], (x, *params), backward)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass on a raw array without building the autograd graph."""
+        """Forward pass on a raw array without building a graph node."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return self._forward(x, [p.data for p in self._weights()])[-1][1]
 
     def fit_mse(self, inputs: np.ndarray, targets: np.ndarray, *, lr: float, epochs: int,
                 batch_size: int, rng: np.random.Generator) -> float:
-        """Minibatch Adam on the mean squared error, in float32, off the autograd tape.
+        """Minibatch Adam on the mean squared error, in float32, without a graph.
 
         Inputs, targets, the flat parameter vector and the Adam moments are
         cast to float32 once; the parameters are written back as float64
@@ -298,10 +257,7 @@ class MLP(Module):
         ``rng.permutation`` order, ``batch_size`` at a time.  Per minibatch:
         fused forward, MSE gradient, fused VJP and one :meth:`Adam.step_flat`
         over all parameters, with activations kept for that minibatch only.
-        The result is bit-identical to training float32 copies of the
-        parameters with ``mse_loss(self(x), y).backward()`` and
-        :meth:`Adam.step` on float32 data.  Returns the mean minibatch loss
-        of the last epoch.
+        Returns the mean minibatch loss of the last epoch.
         """
         inputs = np.asarray(inputs, dtype=np.float32)
         targets = np.asarray(targets, dtype=np.float32)
@@ -325,7 +281,7 @@ class MLP(Module):
                 diff = cache[-1][1] - targets[rows]
                 scale = 1.0 / diff.size
                 losses.append(float((diff * diff).sum() * scale))
-                # d(mean(diff * diff)) / d(diff), formed as the tape forms it.
+                # d(mean(diff * diff)) / d(diff) = 2 * scale * diff.
                 grad = scale * diff
                 _, grads = self._vjp(x, cache, weights, grad + grad, need, False)
                 theta = optimizer.step_flat(theta, np.concatenate([g.ravel() for g in grads]))

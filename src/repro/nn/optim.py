@@ -1,4 +1,4 @@
-"""Gradient-based optimizers for :mod:`repro.nn` modules."""
+"""The Adam optimizer for :mod:`repro.nn` parameters."""
 
 from __future__ import annotations
 
@@ -6,27 +6,10 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base optimizer over a list of parameter tensors."""
-
-    def __init__(self, params: list[Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = list(params)
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction.
 
     The first/second-moment state lives in two flat buffers laid out in
@@ -41,7 +24,10 @@ class Adam(Optimizer):
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.params = list(params)
+        self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
@@ -53,6 +39,10 @@ class Adam(Optimizer):
         self._m = np.zeros(sum(sizes), dtype=dtype)
         self._v = np.zeros_like(self._m)
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         self._t += 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Actor, Critic, generate_pseudo_samples
+from repro.core import Actor, Critic, fom_normalized, generate_pseudo_samples
+from repro.nn import Tensor
 
 
 def quadratic_data(n=60, d=2, seed=0):
@@ -48,20 +49,6 @@ class TestCritic:
             critic.fit(inputs, targets)
         with pytest.raises(RuntimeError):
             critic.predict(np.zeros((1, 3)), np.zeros((1, 3)))
-
-    def test_forward_tensor_matches_predict(self):
-        from repro.nn import Tensor
-
-        X, Y = quadratic_data(n=30)
-        rng = np.random.default_rng(2)
-        inputs, targets = generate_pseudo_samples(X, Y, rng=rng, max_pairs=500)
-        critic = Critic(2, 2, epochs=10, rng=rng)
-        critic.fit(inputs, targets)
-        x = np.random.default_rng(3).uniform(size=(5, 2))
-        dx = np.zeros((5, 2))
-        via_predict = critic.predict(x, dx)
-        via_tensor = critic.forward_tensor(Tensor(np.concatenate([x, dx], axis=1))).data
-        np.testing.assert_allclose(via_predict, via_tensor, atol=1e-10)
 
     def test_same_seed_fits_are_bit_identical(self):
         X, Y = quadratic_data(n=30, seed=9)
@@ -169,7 +156,7 @@ class TestActor:
         after = critic.net.state_dict()
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
-        # and critic parameters are trainable again afterwards
+        # and the critic parameters stay trainable
         assert all(p.requires_grad for p in critic.net.parameters())
 
     def test_step_scale_tracks_region(self):
@@ -184,3 +171,94 @@ class TestActor:
         actor.fit(critic, X[:4], lb, ub, w0=1.0, weights=np.array([1.0]))
         np.testing.assert_allclose(actor.step_scale[:2], [0.2, 0.6], atol=1e-9)
         assert actor.step_scale[2] >= 1e-6  # floored, never zero
+
+
+def central_difference(fn, array, eps=1e-6):
+    grad = np.zeros_like(array)
+    for index in np.ndindex(array.shape):
+        original = array[index]
+        array[index] = original + eps
+        high = fn()
+        array[index] = original - eps
+        low = fn()
+        array[index] = original
+        grad[index] = (high - low) / (2 * eps)
+    return grad
+
+
+class TestActorLoss:
+    """``Actor._loss``: its value against Eq. 4-6 in NumPy, its hand-written
+    backward against central finite differences."""
+
+    LB, UB, STEP = 0.4, 0.6, 0.2
+
+    def setup(self, d, m, seed):
+        """Actor, critic and designs; the critic's constraint outputs are
+        un-scaled to sit in the clip band (~0.4), below it (~-5) or above
+        it (~5), in turn."""
+        rng = np.random.default_rng(seed)
+        critic = Critic(d, m + 1, hidden=(8, 8), epochs=1, rng=rng)
+        critic.fit(rng.uniform(size=(20, 2 * d)), rng.normal(size=(20, m + 1)))
+        centres = np.array([0.4, -5.0, 5.0])[np.arange(m) % 3]
+        critic.target_scaler.mean_ = np.concatenate([[0.3], centres])
+        critic.target_scaler.scale_ = np.concatenate([[1.0], np.full(m, 0.05)])
+        actor = Actor(d, hidden=(6,), rng=rng)
+        actor.step_scale = np.full(d, self.STEP)
+        # Rows inside the region, and rows the actor cannot bring back into
+        # it (|dx| < STEP): below lb and above ub.
+        x = np.vstack([rng.uniform(0.45, 0.55, size=(3, d)),
+                       rng.uniform(0.0, self.LB - self.STEP - 0.05, size=(2, d)),
+                       rng.uniform(self.UB + self.STEP + 0.05, 1.0, size=(2, d))])
+        lb, ub = np.full(d, self.LB), np.full(d, self.UB)
+        weights = rng.uniform(0.5, 1.5, size=m)
+        return actor, critic, x, lb, ub, weights
+
+    @staticmethod
+    def loss(actor, critic, x, lb, ub, weights, w0=1.3, lam=3.0):
+        return actor._loss(actor.net(Tensor(x)), x, critic, lb, ub, w0, weights, lam)
+
+    @staticmethod
+    def gradient(actor, *args):
+        actor.net.zero_grad()
+        TestActorLoss.loss(actor, *args).backward()
+        return [p.grad for p in actor.net.parameters()]
+
+    @pytest.mark.parametrize("d, m", [(3, 3), (2, 0), (4, 1), (2, 5)])
+    def test_value_matches_numpy_fom_and_penalty(self, d, m):
+        actor, critic, x, lb, ub, weights = self.setup(d, m, seed=d + 10 * m)
+        dx = actor.propose(x)
+        moved = x + dx
+        assert (moved < lb).any() and (moved > ub).any()
+        fom = fom_normalized(critic.predict(x, dx), 1.3, weights)
+        viol = np.maximum(lb - moved, 0.0) + np.maximum(moved - ub, 0.0)
+        expected = np.mean(fom + np.sum((3.0 * viol) ** 2, axis=1))
+        got = self.loss(actor, critic, x, lb, ub, weights).item()
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d, m", [(3, 3), (2, 0), (4, 1), (2, 5)])
+    def test_backward_matches_finite_differences(self, d, m):
+        actor, critic, x, lb, ub, weights = self.setup(d, m, seed=d + 10 * m)
+        args = (critic, x, lb, ub, weights)
+        grads = self.gradient(actor, *args)
+        for p, grad in zip(actor.net.parameters(), grads):
+            expected = central_difference(lambda: self.loss(actor, *args).item(), p.data)
+            np.testing.assert_allclose(grad, expected, rtol=1e-5,
+                                       atol=1e-7 * np.abs(expected).max())
+
+    def test_constraint_outside_clip_band_gets_no_gradient(self):
+        """Steepening a constraint's response changes the actor gradient only
+        while that constraint's clipped term is inside (0, 1)."""
+        actor, critic, x, lb, ub, weights = self.setup(3, 3, seed=3)
+        args = (critic, x, lb, ub, weights)
+        terms = weights * critic.predict(x, actor.propose(x))[:, 1:]
+        in_band = (terms > 0) & (terms < 1)
+        assert in_band[:, 0].all() and not in_band[:, 1:].any()
+        base = self.gradient(actor, *args)
+        scale = critic.target_scaler.scale_
+        for column, in_band in ((1, True), (2, False), (3, False)):
+            original = scale[column]
+            scale[column] = 2 * original
+            changed = self.gradient(actor, *args)
+            scale[column] = original
+            same = all(np.array_equal(a, b) for a, b in zip(base, changed))
+            assert same != in_band

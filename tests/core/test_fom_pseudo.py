@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import fom_from_raw, fom_normalized, fom_tensor, generate_pseudo_samples
-from repro.nn import Tensor
+from repro.core import fom_from_raw, fom_normalized, generate_pseudo_samples
 from repro.problems import ConstrainedSphere
 
 
@@ -31,25 +30,6 @@ class TestFoM:
     def test_unconstrained_problem(self):
         Fn = np.array([[1.5]])
         assert fom_normalized(Fn, 0.5, np.empty(0))[0] == pytest.approx(0.75)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4))
-    def test_tensor_matches_numpy(self, values):
-        """Property: the autograd FoM equals the NumPy FoM everywhere."""
-        Fn = np.array(values).reshape(1, 4)
-        weights = np.array([1.0, 2.0, 0.5])
-        expected = fom_normalized(Fn, 1.3, weights)
-        actual = fom_tensor(Tensor(Fn), 1.3, weights)
-        np.testing.assert_allclose(actual.data, expected, atol=1e-12)
-
-    def test_tensor_gradient_flows_in_active_band(self):
-        Fn = Tensor(np.array([[0.2, 0.5, -1.0, 3.0]]), requires_grad=True)
-        fom_tensor(Fn, 1.0, np.ones(3)).sum().backward()
-        grad = Fn.grad[0]
-        assert grad[0] == pytest.approx(1.0)   # objective always active
-        assert grad[1] == pytest.approx(1.0)   # violation in (0, 1)
-        assert grad[2] == pytest.approx(0.0)   # satisfied: clipped at 0
-        assert grad[3] == pytest.approx(0.0)   # saturated: clipped at 1
 
     def test_fom_from_raw_matches_manual(self):
         problem = ConstrainedSphere(3)

@@ -1,26 +1,16 @@
-"""MLP training sanity: layers, optimizers, losses, scalers."""
+"""MLP training sanity: layers, the optimizer, scalers."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    MLP,
-    Adam,
-    Linear,
-    Sequential,
-    StandardScaler,
-    Tanh,
-    Tensor,
-    mse_loss,
-)
+from repro.nn import MLP, Adam, Linear, StandardScaler, Tensor
 
 
 def test_linear_shapes_and_param_count():
     rng = np.random.default_rng(0)
     layer = Linear(5, 3, rng=rng)
-    out = layer(Tensor(np.ones((7, 5))))
-    assert out.shape == (7, 3)
     assert layer.weight.shape == (5, 3)
+    assert layer.bias.shape == (3,)
     assert sum(p.size for p in layer.parameters()) == 5 * 3 + 3
 
 
@@ -59,17 +49,11 @@ def test_mlp_fits_linear_function_with_adam():
     optimizer = Adam(net.parameters(), lr=1e-2)
     for _ in range(500):
         prediction = net(Tensor(X))
-        loss = mse_loss(prediction, Tensor(y))
+        diff = prediction.data - y
         optimizer.zero_grad()
-        loss.backward()
+        prediction.backward(2.0 * diff / diff.size)  # d mean(diff^2) / d prediction
         optimizer.step()
-    assert loss.item() < 1e-3
-
-
-def test_losses_basic_values():
-    p = Tensor([1.0, 2.0, 3.0])
-    t = Tensor([1.0, 2.0, 5.0])
-    assert mse_loss(p, t).item() == pytest.approx(4.0 / 3.0)
+    assert np.mean(diff**2) < 1e-3
 
 
 def test_standard_scaler_roundtrip_and_degenerate():
@@ -84,13 +68,6 @@ def test_standard_scaler_roundtrip_and_degenerate():
 def test_scaler_unfitted_raises():
     with pytest.raises(RuntimeError):
         StandardScaler().transform(np.ones((2, 2)))
-
-
-def test_sequential_composes():
-    rng = np.random.default_rng(3)
-    net = Sequential(Linear(2, 4, rng=rng), Tanh(), Linear(4, 1, rng=rng))
-    out = net(Tensor(np.zeros((5, 2))))
-    assert out.shape == (5, 1)
 
 
 def test_adam_skips_parameter_without_grad():
