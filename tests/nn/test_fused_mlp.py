@@ -3,7 +3,10 @@
 ``MLP`` runs its Linear+activation stack as one fused forward pass and one
 hand-written VJP.  The reference below recomputes the same network one layer
 at a time in plain NumPy, with its own copy of each activation and no graph
-machinery; the fused kernel must reproduce it bit for bit.  Adding an
+machinery: ``reference_forward`` records each layer's values on a plain list
+(the per-layer tape the ``*_matches_tape`` tests name) and
+``reference_backward`` replays it in reverse.  The fused kernel must
+reproduce it bit for bit.  Adding an
 activation means adding it to ``REFERENCE_ACTIVATIONS`` below.
 """
 
@@ -85,7 +88,7 @@ def reference_fit_mse(params, activations, x, y, *, lr, epochs, batch_size, rng)
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_forward_matches_reference(activation):
+def test_forward_matches_tape(activation):
     mlp = make_mlp(activation)
     x = inputs()
     weights = [p.data for p in mlp.parameters()]
@@ -95,7 +98,7 @@ def test_forward_matches_reference(activation):
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_vjp_matches_reference(activation):
+def test_vjp_matches_tape(activation):
     mlp = make_mlp(activation)
     x_data = inputs()
     seed_grad = np.random.default_rng(2).normal(size=(len(x_data), 2))
@@ -130,7 +133,7 @@ def test_one_tape_node_per_call():
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_fit_mse_matches_reference_training(activation):
+def test_fit_mse_matches_tape_training(activation):
     x = inputs(rows=50)
     y = np.random.default_rng(3).normal(size=(50, 2))
     fused, reference = make_mlp(activation), make_mlp(activation)
@@ -144,7 +147,7 @@ def test_fit_mse_matches_reference_training(activation):
         np.testing.assert_array_equal(got.data, want.data)
 
 
-def test_critic_fit_matches_reference_training():
+def test_critic_fit_matches_tape_training():
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(40, 3))
     Y = np.column_stack([np.sum((X - 0.5) ** 2, axis=1), X[:, 0] - 0.6])
