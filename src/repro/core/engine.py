@@ -39,15 +39,16 @@ bit-identical no matter which backend ran the batch — the determinism and
 regression tests in ``tests/core/test_eval_engine.py`` and
 ``tests/core/test_service.py`` pin this contract.
 
-Two evaluation entry points share the cache and dispatch machinery:
-:meth:`EvalEngine.evaluate_batch` blocks until the rows are back, while the
-:meth:`EvalEngine.submit` / :meth:`EvalEngine.gather` pair is non-blocking —
-``submit`` resolves cache hits synchronously, ships the misses to a
-background dispatch thread, and returns an :class:`EvalHandle`; ``gather``
-blocks on the handle.  Overlapping submits de-duplicate against each other
-through an in-flight registry (a design pending in one batch is never
-re-simulated by a later batch), which is what lets ``Study(pipeline_depth=d)``
-keep ``d`` batches in flight without wasting simulations.
+Two evaluation entry points share one resolve step and one run body:
+:meth:`EvalEngine.submit` resolves cache hits, in-batch duplicates and
+in-flight twins synchronously, ships the misses to a background dispatch
+thread and returns an :class:`EvalHandle`; :meth:`EvalEngine.gather` blocks
+on the handle.  :meth:`EvalEngine.evaluate_batch` is the blocking form: it
+runs the same body on the caller's thread, then gathers.  Overlapping
+batches de-duplicate against each other through an in-flight registry (a
+design pending in one batch is never re-simulated by a later batch), which
+is what lets ``Study(pipeline_depth=d)`` keep ``d`` batches in flight
+without wasting simulations.
 
 Problems are identified by a *content fingerprint* (a hash of their pickle)
 rather than object identity: two fresh-but-identical instances — the
@@ -96,11 +97,9 @@ CHUNK_TIMEOUT_ENV = "REPRO_CHUNK_TIMEOUT"
 
 
 def _spice_counters():
-    """The simulator's process-global counters (None when spice is absent)."""
-    try:
-        from repro.spice import profile
-    except ImportError:  # pragma: no cover - spice is a hard dep in practice
-        return None
+    """The simulator's process-global counters, imported on first use so
+    that importing the engine does not load the simulator."""
+    from repro.spice import profile
     return profile
 
 BACKENDS = ("serial", "thread", "process", "remote")
@@ -123,10 +122,10 @@ def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
     work done inside the pool.
     """
     profile = _spice_counters()
-    before = profile.snapshot() if profile is not None else None
+    before = profile.snapshot()
     rows = _WORKER_PROBLEM.evaluate_batch(X)
-    deltas = profile.delta(before) if profile is not None else {}
-    return rows, {name: value for name, value in deltas.items() if value}
+    return rows, {name: value for name, value in profile.delta(before).items()
+                  if value}
 
 
 def default_workers() -> int:
@@ -367,112 +366,44 @@ class EvalEngine:
         return False
 
     # -- evaluation --------------------------------------------------------
-    def evaluate_one(self, problem, x: np.ndarray) -> np.ndarray:
-        """Single-design convenience wrapper around :meth:`evaluate_batch`."""
-        return self.evaluate_batch(problem, np.asarray(x)[None, :])[0]
-
     def evaluate_batch(self, problem, X: np.ndarray) -> np.ndarray:
         """Raw performance rows for a batch of designs, in input order.
 
+        The blocking form of :meth:`submit` + :meth:`gather`: the same
+        resolve step, but the misses are dispatched on the caller's thread.
         Designs are canonicalized through ``problem.space.canonical``
-        (rounded to the sizing that would be simulated, signed zeros
-        normalized) before hashing, so a rounded and an unrounded view of
-        the same integer design always share one cache/dedup entry.
-        Duplicate designs within one batch are simulated once (cache enabled
-        or not), and a design already in flight from an outstanding
-        :meth:`submit` is *waited for*, never re-simulated — the blocking
-        path goes through the same in-flight registry as the pipelined one
-        (previously it raced a concurrent submit of the same design into a
-        second simulation whose result clobbered the first in the cache).
+        (rounded, signed zeros normalized) before hashing, so a rounded and
+        an unrounded view of one integer design share a cache/dedup entry.
 
         Scenario wrappers (:mod:`repro.scenarios`) are recognized by their
-        ``scenario_evaluate`` hook and fan each design out to per-variant
+        ``scenario_submit`` hook and fan each design out to per-variant
         engine batches instead of being dispatched (and fingerprinted)
         directly — duck-typed so this module never imports the subsystem.
         """
-        fan = getattr(problem, "scenario_evaluate", None)
+        fan = getattr(problem, "scenario_submit", None)
         if fan is not None:
-            return fan(self, X)
-        X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        token = self._problem_token(problem)
-        keys = [self._key(token, x) for x in X]
-
-        # Resolve cache hits, in-batch duplicates and in-flight twins before
-        # dispatching; register our own pending designs so a concurrent
-        # submit() dedups against this blocking batch too.
-        key_to_row: dict[bytes, np.ndarray] = {}
-        waits: dict[bytes, object] = {}
-        pending_keys: list[bytes] = []
-        pending_rows: list[np.ndarray] = []
-        own_future: Future | None = None
-        with self._state_lock:
-            for key, x in zip(keys, X):
-                if key in key_to_row or key in waits:
-                    self.n_dedup += 1
-                    continue
-                cached = self._cache_get(key)
-                if cached is not None:
-                    key_to_row[key] = cached
-                    self.n_cache_hits += 1
-                    continue
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    waits[key] = inflight
-                    self.n_dedup += 1
-                    continue
-                key_to_row[key] = None  # placeholder, filled after dispatch
-                pending_keys.append(key)
-                pending_rows.append(x)
-            if pending_rows:
-                own_future = Future()
-                own_future.set_running_or_notify_cancel()
-                for key in pending_keys:
-                    self._inflight[key] = own_future
-
-        if pending_rows:
-            profile = _spice_counters()
-            before = profile.snapshot() if profile is not None else None
-            t0 = perf_counter()
+            return self.gather(fan(self, X))
+        handle, run = self._resolve(problem, X, inline=True)
+        if run is not None:
+            future, batch = run
             try:
-                fresh = self._dispatch(problem, np.asarray(pending_rows), token)
+                future.set_result(self._run(*batch))
             except BaseException as exc:
-                with self._state_lock:
-                    for key in pending_keys:
-                        self._inflight.pop(key, None)
-                own_future.set_exception(exc)
+                future.set_exception(exc)
                 raise
-            elapsed = perf_counter() - t0
-            with self._state_lock:
-                self.dispatch_seconds += elapsed
-                if before is not None:
-                    for name, value in profile.delta(before).items():
-                        self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
-                self.n_sim_calls += len(pending_rows)
-                durable = self._durable(token)
-                for key, row in zip(pending_keys, fresh):
-                    key_to_row[key] = row
-                    self._cache_put(key, row, durable)
-                    self._inflight.pop(key, None)
-            own_future.set_result(dict(zip(pending_keys, fresh)))
+        return self.gather(handle)
 
-        for key, future in waits.items():
-            # Designs owned by a concurrent submit: block for *its* rows.
-            key_to_row[key] = future.result()[key]
-
-        return np.vstack([key_to_row[key] for key in keys])
-
-    # -- non-blocking evaluation -------------------------------------------
     def submit(self, problem, X: np.ndarray) -> EvalHandle:
         """Start evaluating a batch without blocking; returns an :class:`EvalHandle`.
 
-        The cache and dedup phases run synchronously (a fully-cached batch
-        costs no thread hop); only the designs that actually need the
-        simulator are dispatched on a background thread.  A design already
-        in flight from an *earlier* outstanding submit is shared, not
-        re-simulated — the handle waits on the same future.  This is the
-        primitive under :class:`repro.core.Study`'s pipelined mode, which
-        overlaps the optimizer's next proposal batch with these in-flight
-        evaluations.
+        The resolve step (cache hits, duplicates, in-flight twins) runs
+        synchronously, so a fully-cached batch costs no thread hop; only
+        the designs that actually need the simulator are dispatched on a
+        background thread.  A design already in flight from an *earlier*
+        outstanding batch is shared, not re-simulated — the handle waits on
+        the same future.  This is the primitive under
+        :class:`repro.core.Study`'s pipelined mode, which overlaps the
+        optimizer's next proposal batch with these in-flight evaluations.
 
         Under overlapping submits the per-phase hot-path counters may
         double-count concurrent windows (the process-global simulator
@@ -486,38 +417,7 @@ class EvalEngine:
         fan = getattr(problem, "scenario_submit", None)
         if fan is not None:
             return fan(self, X)
-        X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        token = self._problem_token(problem)
-        keys = [self._key(token, x) for x in X]
-        resolved: dict[bytes, np.ndarray] = {}
-        waits: dict[bytes, object] = {}
-        pending_keys: list[bytes] = []
-        pending_rows: list[np.ndarray] = []
-        with self._state_lock:
-            for key, x in zip(keys, X):
-                if key in resolved or key in waits or key in pending_keys:
-                    self.n_dedup += 1
-                    continue
-                cached = self._cache_get(key)
-                if cached is not None:
-                    resolved[key] = cached
-                    self.n_cache_hits += 1
-                    continue
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    waits[key] = inflight
-                    self.n_dedup += 1
-                    continue
-                pending_keys.append(key)
-                pending_rows.append(x)
-            if pending_rows:
-                future = self._submit_pool().submit(
-                    self._run_submitted, problem, np.asarray(pending_rows),
-                    token, tuple(pending_keys))
-                for key in pending_keys:
-                    self._inflight[key] = future
-                    waits[key] = future
-        return EvalHandle(keys, resolved, waits)
+        return self._resolve(problem, X, inline=False)[0]
 
     def gather(self, handle) -> np.ndarray:
         """Rows for a submitted batch, in input order (blocks until done).
@@ -542,24 +442,74 @@ class EvalEngine:
                     "still pending") from None
         return np.vstack([rows[key] for key in handle.keys])
 
-    def _run_submitted(self, problem, X: np.ndarray, token: bytes,
-                       keys: tuple[bytes, ...]) -> dict[bytes, np.ndarray]:
-        """Background-thread body of one submit: dispatch + bookkeeping."""
+    def _resolve(self, problem, X: np.ndarray, inline: bool):
+        """Resolve step of both entry points: answer each design from the
+        cache, an earlier twin in the batch, or a batch already in flight,
+        and register the misses in ``_inflight`` under one future (a closed
+        engine refuses them).  Returns the handle plus, for an ``inline``
+        batch, ``(future, run args)`` for the caller to run; otherwise the
+        run is queued on the submit pool."""
+        X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        token = self._problem_token(problem)
+        keys = [self._key(token, x) for x in X]
+        resolved: dict[bytes, np.ndarray] = {}
+        waits: dict[bytes, Future] = {}
+        pending: dict[bytes, np.ndarray] = {}  # misses, in first-seen order
+        inline_run = None
+        with self._state_lock:
+            for key, x in zip(keys, X):
+                if key in resolved or key in waits or key in pending:
+                    self.n_dedup += 1
+                    continue
+                cached = self._cache_get(key)
+                if cached is not None:
+                    resolved[key] = cached
+                    self.n_cache_hits += 1
+                    continue
+                inflight = self._inflight.get(key)
+                if inflight is not None:
+                    waits[key] = inflight
+                    self.n_dedup += 1
+                    continue
+                pending[key] = x
+            if pending:
+                if self._closed:
+                    raise RuntimeError("EvalEngine is closed")
+                batch = (problem, np.asarray(list(pending.values())), token,
+                         tuple(pending))
+                if inline:
+                    future: Future = Future()
+                    future.set_running_or_notify_cancel()
+                    inline_run = (future, batch)
+                else:
+                    future = self._submit_pool().submit(self._run, *batch)
+                for key in pending:
+                    self._inflight[key] = future
+                    waits[key] = future
+        return EvalHandle(keys, resolved, waits), inline_run
+
+    def _run(self, problem, X: np.ndarray, token: bytes,
+             keys: tuple[bytes, ...]) -> dict[bytes, np.ndarray]:
+        """Run body of both entry points: dispatch a resolved batch's misses,
+        fold the workers' and this process's simulator counters into
+        ``phase_counters``, fill the cache, and retire the keys from
+        ``_inflight`` (on error too, so a failed design can be retried)."""
         profile = _spice_counters()
-        before = profile.snapshot() if profile is not None else None
+        before = profile.snapshot()
         t0 = perf_counter()
         try:
-            fresh = self._dispatch(problem, X, token)
+            fresh, worker_counters = self._dispatch(problem, X, token)
         except BaseException:
             with self._state_lock:
                 for key in keys:
                     self._inflight.pop(key, None)
             raise
         elapsed = perf_counter() - t0
+        window = profile.delta(before)
         with self._state_lock:
             self.dispatch_seconds += elapsed
-            if before is not None:
-                for name, value in profile.delta(before).items():
+            for counters in (*worker_counters, window):
+                for name, value in counters.items():
                     self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
             self.n_sim_calls += len(X)
             durable = self._durable(token)
@@ -569,8 +519,6 @@ class EvalEngine:
         return dict(zip(keys, fresh))
 
     def _submit_pool(self) -> ThreadPoolExecutor:  # holds: _state_lock
-        if self._closed:
-            raise RuntimeError("EvalEngine is closed")
         if self._submit_executor is None:
             self._submit_executor = ThreadPoolExecutor(
                 max_workers=max(4, self.workers),
@@ -706,28 +654,30 @@ class EvalEngine:
         return added
 
     # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, problem, X: np.ndarray, token: bytes) -> np.ndarray:
+    def _dispatch(self, problem, X: np.ndarray,
+                  token: bytes) -> tuple[np.ndarray, list[dict[str, float]]]:
+        """Rows for ``X``, plus the simulator counter deltas measured where
+        the simulation ran outside this process (one dict per pool chunk
+        or remote reply; empty when it all ran here)."""
         if self.backend == "remote":
             rows, counters, n_sims = self._remote_dispatcher().dispatch(
                 problem, token, X)
-            with self._state_lock:  # overlapping submits fold concurrently
-                for name, value in counters.items():
-                    self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
+            with self._state_lock:
                 self.worker_sim_calls += n_sims
-            return rows
+            return rows, [counters]
         if self.backend == "serial" or len(X) == 1:
-            return problem.evaluate_batch(X)
+            return problem.evaluate_batch(X), []
         chunks = np.array_split(X, min(len(X), self.workers))
         chunks = [c for c in chunks if len(c)]
         if self.backend == "thread":
             executor = self._thread_executor()
-            return np.vstack(list(executor.map(problem.evaluate_batch, chunks)))
+            return np.vstack(list(executor.map(problem.evaluate_batch, chunks))), []
         import multiprocessing as mp
         if mp.current_process().daemon:
             # Daemonic contexts (e.g. fork-pool trial workers) cannot spawn
             # pool children; degrade to the serial loop, same as the trial
             # runner's own fallback.  Results are unchanged either way.
-            return problem.evaluate_batch(X)
+            return problem.evaluate_batch(X), []
         while True:
             executor = self._process_executor(problem, token)
             try:
@@ -742,13 +692,9 @@ class EvalEngine:
                 with self._state_lock:
                     if self._closed or self._executor is executor:
                         raise
-        rows = []
-        for chunk_rows, deltas in results:
-            rows.append(chunk_rows)
-            with self._state_lock:  # overlapping submits fold concurrently
-                for name, value in deltas.items():
-                    self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
-        return np.vstack(rows)
+        results = list(results)
+        return (np.vstack([rows for rows, _ in results]),
+                [deltas for _, deltas in results])
 
     def _thread_executor(self) -> ThreadPoolExecutor:
         with self._state_lock:

@@ -34,16 +34,15 @@ __all__ = ["BudgetExhausted", "OptimizationHistory", "Optimizer"]
 
 
 class BudgetExhausted(Exception):
-    """No simulation budget left for another :meth:`Optimizer.evaluate` call.
+    """A hard evaluation budget outside the study's own accounting is spent.
 
-    Raised by the direct-call :meth:`Optimizer.evaluate` /
-    :meth:`Optimizer.evaluate_batch` entry points once
-    ``history.n_evals == budget`` (and, with ``stop_when_feasible``, as soon
-    as a feasible design lands).  Code that calls ``evaluate()`` *directly*
-    — outside any driver — must be prepared to catch it, which is why it is
-    public API (``repro.core.BudgetExhausted``).  The ask/tell protocol
-    never raises it: budget discipline there belongs to
-    :class:`repro.core.Study`.
+    Raised through the engine seam by a fleet tenant quota
+    (``fleet.engine(name, quota=N)``) when it refuses a batch;
+    :class:`repro.core.Study` catches it and ends the run with the partial
+    history.  The study's own budget never raises it — proposals are
+    truncated to the remaining budget before any simulation.  Public API
+    (``repro.core.BudgetExhausted``) for code that drives a quota'd engine
+    directly.
     """
 
 
@@ -264,8 +263,9 @@ class Optimizer(ABC):
       yet (e.g. DE waiting for its initial population) returns an empty
       ``(0, d)`` array, which tells the driver to gather first.
 
-    :meth:`evaluate` / :meth:`evaluate_batch` remain for direct out-of-loop
-    queries, and raise :class:`BudgetExhausted` once the budget is spent.
+    The optimizer has no evaluation entry point of its own: every
+    simulation goes through the Study (or a caller's own
+    ``engine.evaluate_batch``) and comes back through :meth:`tell`.
     """
 
     name: str = "optimizer"
@@ -334,44 +334,6 @@ class Optimizer(ABC):
 
     def _observe(self, x: np.ndarray, f_raw: np.ndarray) -> None:
         """Consume one told result (row already appended to the history)."""
-
-    # -- direct evaluation entry points ------------------------------------
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Simulate one design, record it, and return the raw performance row.
-
-        Out-of-loop entry point; raises :class:`BudgetExhausted` once the
-        budget is spent.
-        """
-        return self.evaluate_batch(np.asarray(x, dtype=np.float64).ravel()[None, :])[0]
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Simulate a batch of designs in one engine dispatch, in order.
-
-        The batch is truncated to the remaining budget before any simulation
-        happens, so batched optimizers never overshoot.  With
-        ``stop_when_feasible``, rows after the first feasible design in the
-        batch are discarded — exactly what the serial one-query-at-a-time
-        protocol would have recorded.
-        """
-        remaining = self.budget - self.history.n_evals
-        if remaining <= 0:
-            raise BudgetExhausted
-        X = self.problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        X = X[:remaining]
-        start = time.perf_counter()
-        F = self.engine.evaluate_batch(self.problem, X)
-        self.history.simulation_time += time.perf_counter() - start
-        stop = False
-        kept = len(X)
-        for i, (x, f_raw) in enumerate(zip(X, F)):
-            self.history.append(x, f_raw)
-            if self.stop_when_feasible and self.history.feasible[-1]:
-                stop = True
-                kept = i + 1
-                break
-        if stop:
-            raise BudgetExhausted
-        return F[:kept]
 
     def timed_modeling(self) -> "_ModelTimer":
         """Context manager adding elapsed wall-clock to modeling time."""

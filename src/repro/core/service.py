@@ -503,14 +503,14 @@ class EvalWorkerServer:
         X = np.asarray(msg["X"], dtype=np.float64)
         with self._eval_lock:
             profile = _spice_counters()
-            before = profile.snapshot() if profile is not None else None
+            before = profile.snapshot()
             # counters_snapshot() reads under the engine's _state_lock; a
             # bare self._engine.n_sim_calls would race dispatch threads
             # (cross-object access RP02 cannot see — the runtime sanitizer
             # flagged it).
             sims_before = self._engine.counters_snapshot()["n_sim_calls"]
             F = self._engine.evaluate_batch(problem, X)
-            counters = profile.delta(before) if profile is not None else {}
+            counters = profile.delta(before)
             n_sims = (self._engine.counters_snapshot()["n_sim_calls"]
                       - sims_before)
         return {"ok": True, "F": F.tolist(),

@@ -4,7 +4,8 @@ The ask/tell inversion (PR 4) moves everything that is *not* proposal
 generation out of the optimizers and into one place:
 
 * **budget** — proposals are truncated to the remaining budget before any
-  simulation happens, so no optimizer can overshoot;
+  simulation happens, so no optimizer can overshoot (optimizers have no
+  evaluation path of their own);
 * **dispatch** — every batch goes through the optimizer's
   :class:`~repro.core.engine.EvalEngine`; with ``pipeline_depth >= 2`` the
   study submits the next ``ask`` batch via the engine's non-blocking
@@ -19,7 +20,9 @@ generation out of the optimizers and into one place:
 * **callbacks** — each ``callback(study)`` fires after every told batch;
 * **checkpoint/resume** — :meth:`save` writes a plain-JSON snapshot
   (a :meth:`~repro.core.history.OptimizationHistory.to_dict` payload plus
-  run metadata and the design-space description); :meth:`load` arms a
+  run metadata and the design-space description), which
+  ``checkpoint_path=`` does every ``checkpoint_every`` told batches and on
+  exit from :meth:`run`; :meth:`load` arms a
   fresh, identically-constructed optimizer with a *replay store*, so the
   resumed run re-derives its internal state (RNG stream included) by
   re-asking and answering the recorded prefix from the store instead of
@@ -132,16 +135,13 @@ class Study:
     stop_when:
         Optional ``predicate(history) -> bool`` checked after every batch.
     checkpoint_path / checkpoint_every:
-        When both are set, :meth:`save` runs automatically every
-        ``checkpoint_every`` batches.
-    auto_checkpoint / every:
-        Crash-resumable shorthand: ``Study(opt, auto_checkpoint=path,
-        every=n)`` checkpoints every ``n`` told batches (default 1, i.e.
-        every batch) *and* writes a final snapshot on the way out of
-        :meth:`run` — normal return or crash — so a long run interrupted by
-        a fleet outage resumes from its last told batch via :meth:`load`
-        with nothing extra wired up.  Mutually exclusive with
-        ``checkpoint_path``.
+        Crash-resumable runs: with ``checkpoint_path`` set, :meth:`save`
+        runs every ``checkpoint_every`` told batches (default 1, i.e. every
+        batch) *and* once more on the way out of :meth:`run` — normal
+        return or crash — so a long run interrupted by a fleet outage
+        resumes from its last told batch via :meth:`load` with nothing
+        extra wired up.  ``checkpoint_every`` without ``checkpoint_path``
+        is an error.
     warm_start:
         Optional :class:`~repro.core.warmstart.WarmStart` — a donor run's
         archive to transfer in before the first ask.  Same-problem donors
@@ -158,29 +158,18 @@ class Study:
                  ask_size: int | None = None,
                  callbacks=(),
                  stop_when: Callable | None = None,
-                 checkpoint_path: str | None = None,
-                 checkpoint_every: int = 0,
-                 auto_checkpoint: str | os.PathLike | None = None,
-                 every: int | None = None,
+                 checkpoint_path: str | os.PathLike | None = None,
+                 checkpoint_every: int | None = None,
                  warm_start=None):
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
         if ask_size is not None and ask_size < 1:
             raise ValueError("ask_size must be >= 1")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        self._save_on_exit = False
-        if auto_checkpoint is not None:
-            if checkpoint_path is not None:
-                raise ValueError(
-                    "pass auto_checkpoint or checkpoint_path, not both")
-            if every is not None and every < 1:
-                raise ValueError("every must be >= 1")
-            checkpoint_path = os.fspath(auto_checkpoint)
-            checkpoint_every = 1 if every is None else int(every)
-            self._save_on_exit = True
-        elif every is not None:
-            raise ValueError("every requires auto_checkpoint")
+        if checkpoint_every is not None:
+            if checkpoint_path is None:
+                raise ValueError("checkpoint_every requires checkpoint_path")
+            if checkpoint_every < 1:
+                raise ValueError("checkpoint_every must be >= 1")
         if engine is not None:
             optimizer.engine = engine
         self.optimizer = optimizer
@@ -188,8 +177,9 @@ class Study:
         self.ask_size = None if ask_size is None else int(ask_size)
         self.callbacks = list(callbacks)
         self.stop_when = stop_when
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = int(checkpoint_every)
+        self.checkpoint_path = (None if checkpoint_path is None
+                                else os.fspath(checkpoint_path))
+        self.checkpoint_every = 1 if checkpoint_every is None else int(checkpoint_every)
         self.n_batches = 0  # batches told so far
         self._stop_requested = False
         # Replay store armed by :meth:`load`: canonical-design-bytes -> raw
@@ -285,7 +275,7 @@ class Study:
                 self.n_batches += 1
                 for callback in self.callbacks:
                     callback(self)
-                if (self.checkpoint_path and self.checkpoint_every
+                if (self.checkpoint_path
                         and self.n_batches % self.checkpoint_every == 0):
                     self.save(self.checkpoint_path)
                 if self.stop_when is not None and self.stop_when(history):
@@ -308,8 +298,8 @@ class Study:
                 except Exception:
                     pass
             attach_engine_stats(history, engine, counters_before)
-            if self._save_on_exit and self.checkpoint_path and self.n_batches:
-                # Crash-resumable by default: whatever ended this run —
+            if self.checkpoint_path and self.n_batches:
+                # Crash-resumable: whatever ended this run —
                 # normal return, ServiceError, KeyboardInterrupt — the last
                 # told batch is on disk for Study.load.  Best-effort: a
                 # checkpoint failure must not mask the run's own outcome.

@@ -9,8 +9,8 @@ FoM computation works unchanged — only the meaning of a row shifts from
 "nominal performance" to "worst-case (or quantile) performance".
 
 Evaluation rides the engine seams rather than running its own loop: the
-:class:`~repro.core.engine.EvalEngine` recognizes the ``scenario_submit`` /
-``scenario_evaluate`` hooks and delegates here; this module then submits
+:class:`~repro.core.engine.EvalEngine` recognizes the ``scenario_submit``
+hook in both entry points and delegates here; this module then submits
 each variant as an ordinary engine batch, so per-corner evaluations share
 the cache/dedup/disk tiers (under the *variant's own* content fingerprint
 — corners never alias) and parallelize across whatever backend or fleet
@@ -260,10 +260,6 @@ class ScenarioProblem(OptimizationProblem):
         raise NotImplementedError("ScenarioProblem overrides evaluate()")
 
     # -- engine seam hooks --------------------------------------------------
-    def scenario_evaluate(self, engine: Any, X: np.ndarray) -> np.ndarray:
-        """Blocking fan-out: the body of ``engine.evaluate_batch`` for us."""
-        return self.scenario_submit(engine, X).gather(engine)
-
     def scenario_submit(self, engine: Any, X: np.ndarray) -> _ScenarioHandle:
         """Start the nominal wave for a batch; returns a duck-typed handle.
 

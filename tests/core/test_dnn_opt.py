@@ -167,8 +167,8 @@ def test_select_non_duplicate_returns_requested_count_in_tight_region():
     problem = IntGrid()
     opt = fast_dnnopt(problem, 50, seed=19, batch_size=4)
     # Archive a handful of designs; make every candidate a duplicate of them.
-    for x in [np.array([3.0, 3.0]), np.array([3.0, 4.0]), np.array([4.0, 3.0])]:
-        opt.evaluate(x)
+    X = np.array([[3.0, 3.0], [3.0, 4.0], [4.0, 3.0]])
+    opt.tell(X, problem.evaluate_batch(X))
     archived_n = problem.space.normalize(opt.history.X)
     candidates = np.vstack([archived_n] * 3)
     scores = np.arange(len(candidates), dtype=np.float64)

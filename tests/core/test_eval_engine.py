@@ -359,11 +359,21 @@ def test_seed_cache_answers_without_simulation():
 # close() vs. in-flight submit(): raise, never hang
 # ----------------------------------------------------------------------
 def test_submit_after_close_raises():
-    engine = EvalEngine("serial")
-    engine.close()
+    # Both entry points share the closed-engine check on every backend: a
+    # batch of fresh designs raises, and no pool is built to outlive close().
     problem = Sphere(2)
-    with pytest.raises(RuntimeError, match="closed"):
-        engine.submit(problem, problem.space.sample(np.random.default_rng(0), 2))
+    rng = np.random.default_rng(0)
+    for entry in ("submit", "evaluate_batch"):
+        for backend in BACKENDS:
+            engine = EvalEngine(backend, workers=2)
+            engine.evaluate_batch(problem, problem.space.sample(rng, 2))
+            engine.close()
+            builds = engine.n_pool_builds
+            with pytest.raises(RuntimeError, match="closed"):
+                getattr(engine, entry)(problem, problem.space.sample(rng, 2))
+            assert engine.n_pool_builds == builds, (entry, backend)
+            assert engine._executor is None, (entry, backend)
+            assert engine._submit_executor is None, (entry, backend)
 
 
 def test_close_cancels_queued_submits_and_gather_raises():

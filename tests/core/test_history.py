@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import Study
 from repro.core.history import OptimizationHistory, Optimizer
 from repro.problems import ConstrainedSphere, Sphere
 
@@ -64,11 +65,12 @@ def test_simulation_time_accumulates():
     class OneShot(Optimizer):
         name = "one"
 
-    opt = OneShot(Sphere(2), 3, seed=0)
-    opt.evaluate(opt.problem.space.sample(opt.rng, 1)[0])  # direct call
-    history = opt.history
-    assert history.simulation_time >= 0.0
-    assert history.n_evals == 1
+        def _ask(self, k):
+            return self.problem.space.sample(self.rng, 1)
+
+    history = Study(OneShot(Sphere(2), 3, seed=0)).run()
+    assert history.simulation_time > 0.0
+    assert history.n_evals == 3
 
 
 def test_round_trip_preserves_empty_engine_stats():

@@ -138,29 +138,10 @@ def test_sa_waits_for_starting_point():
 
 
 # ----------------------------------------------------------------------
-# BudgetExhausted is public API on the direct-call path
+# BudgetExhausted is public API (the fleet quota raises it into Study)
 # ----------------------------------------------------------------------
-def test_budget_exhausted_public_direct_call():
-    problem = Sphere(2)
-    opt = RandomSearch(problem, 3, 0)
-    for _ in range(3):
-        opt.evaluate(problem.space.sample(opt.rng, 1)[0])
-    with pytest.raises(BudgetExhausted):
-        opt.evaluate(problem.space.sample(opt.rng, 1)[0])
-    assert opt.history.n_evals == 3
-
-
 def test_budget_exhausted_aliases_old_private_name():
     assert isinstance(BudgetExhausted(), Exception)
-
-
-def test_stop_when_feasible_direct_call_raises():
-    problem = ConstrainedSphere(2)
-    opt = RandomSearch(problem, 50, 0, stop_when_feasible=True)
-    feasible_x = np.array([1.0, 1.0])
-    with pytest.raises(BudgetExhausted):
-        opt.evaluate(feasible_x)
-    assert opt.history.n_evals == 1
 
 
 # ----------------------------------------------------------------------
@@ -542,12 +523,16 @@ def test_gather_propagates_evaluation_errors():
             raise RuntimeError("simulator crashed")
 
     problem = Exploding(2)
+    X = problem.space.sample(np.random.default_rng(3), 2)
     with EvalEngine("serial") as engine:
-        handle = engine.submit(problem, problem.space.sample(
-            np.random.default_rng(3), 2))
+        handle = engine.submit(problem, X)
         with pytest.raises(RuntimeError, match="simulator crashed"):
             engine.gather(handle)
         assert engine._inflight == {}  # failed keys are not left dangling
+        # the inline (blocking) path re-raises and cleans up the same way
+        with pytest.raises(RuntimeError, match="simulator crashed"):
+            engine.evaluate_batch(problem, X)
+        assert engine._inflight == {}
 
 
 # ----------------------------------------------------------------------
@@ -573,27 +558,26 @@ def test_checkpoint_resume_bit_identical_with_integer_dims(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# auto_checkpoint: crash-resumable shorthand
+# checkpoint_path: periodic snapshots plus one on exit (crash-resumable)
 # ----------------------------------------------------------------------
 def test_auto_checkpoint_parameter_validation(tmp_path):
     opt = RandomSearch(Sphere(2), 5, 0)
     path = tmp_path / "auto.ckpt.json"
-    with pytest.raises(ValueError, match="not both"):
-        Study(opt, auto_checkpoint=str(path), checkpoint_path=str(path))
-    with pytest.raises(ValueError, match="every requires"):
-        Study(opt, every=2)
-    with pytest.raises(ValueError, match="every must be"):
-        Study(opt, auto_checkpoint=str(path), every=0)
-    study = Study(opt, auto_checkpoint=str(path), every=3)
+    with pytest.raises(ValueError, match="requires checkpoint_path"):
+        Study(opt, checkpoint_every=2)
+    with pytest.raises(ValueError, match="checkpoint_every must be"):
+        Study(opt, checkpoint_path=str(path), checkpoint_every=0)
+    study = Study(opt, checkpoint_path=path, checkpoint_every=3)
     assert study.checkpoint_path == str(path)
     assert study.checkpoint_every == 3
-    assert Study(opt, auto_checkpoint=str(path)).checkpoint_every == 1
+    assert Study(opt, checkpoint_path=str(path)).checkpoint_every == 1
 
 
 def test_auto_checkpoint_writes_final_snapshot_on_normal_return(tmp_path):
     path = tmp_path / "auto.ckpt.json"
-    history = Study(RandomSearch(Sphere(2), 8, 1),
-                    auto_checkpoint=str(path)).run()
+    # checkpoint_every past the run's batch count: only the exit save writes
+    history = Study(RandomSearch(Sphere(2), 8, 1), checkpoint_path=str(path),
+                    checkpoint_every=100).run()
     assert path.exists()
     # the on-exit snapshot resumes to the already-complete run
     resumed = Study.load(str(path), RandomSearch(Sphere(2), 8, 1)).run()
@@ -620,7 +604,7 @@ def test_auto_checkpoint_crash_mid_run_resumes_bit_identical(tmp_path):
     reference = Study(RandomSearch(Sphere(2), 16, 3)).run()
     path = tmp_path / "crash.ckpt.json"
     crashing = Study(RandomSearch(DyingSphere(2, fail_after=9), 16, 3),
-                     auto_checkpoint=str(path))
+                     checkpoint_path=str(path), checkpoint_every=100)
     with pytest.raises(RuntimeError, match="farm went down"):
         crashing.run()
     assert path.exists(), "the crash exit path must still write a snapshot"
