@@ -33,8 +33,15 @@ class Critic:
         self.target_scaler = StandardScaler()
         self._trained = False
 
-    def fit(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """Train on pseudo-samples with the MSE of Eq. 3; returns final loss."""
+    def fit(self, inputs: np.ndarray, targets: np.ndarray, *,
+            epochs: int | None = None) -> float:
+        """Train on pseudo-samples with the MSE of Eq. 3; returns final loss.
+
+        Training continues from the current weights, so a second call
+        fine-tunes; ``epochs`` overrides the constructor's count for this
+        call only.  The target scaler is refit and Adam starts afresh on
+        every call.
+        """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         if inputs.shape[1] != 2 * self.dim:
@@ -46,7 +53,8 @@ class Critic:
         if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
             raise ValueError("critic training rows must be finite")
         scaled = self.target_scaler.fit_transform(targets)
-        last_loss = self.net.fit_mse(inputs, scaled, lr=self.lr, epochs=self.epochs,
+        epochs = self.epochs if epochs is None else int(epochs)
+        last_loss = self.net.fit_mse(inputs, scaled, lr=self.lr, epochs=epochs,
                                      batch_size=self.batch_size, rng=self.rng)
         self._trained = True
         return last_loss

@@ -2,9 +2,13 @@
 
 Each iteration (after ``n_init`` space-filling simulations):
 
-1. fresh actor and critic networks are initialized (line 3);
+1. a fresh actor is initialized (line 3); the critic is fresh on every
+   ``critic_refresh``-th iteration and kept from the previous iteration
+   otherwise;
 2. pseudo-samples are generated from the whole archive (line 4, Eq. 2);
-3. the critic is trained as a simulator proxy (line 5, Eq. 3);
+3. the critic is trained as a simulator proxy (line 5, Eq. 3): a fresh one
+   for ``critic_epochs`` epochs, a kept one fine-tuned for
+   ``critic_epochs // critic_refresh`` (at least one);
 4. the actor is trained through the frozen critic with the elite-region
    boundary penalty (line 6, Eq. 5-6);
 5. the elite population — the ``n_elite`` lowest-FoM designs — defines the
@@ -19,6 +23,12 @@ argmin of Eq. 8 to the *top-k* non-duplicate critic-scored candidates, all
 simulated in one :class:`~repro.core.engine.EvalEngine` dispatch — the
 actor/critic retraining cost is then amortized over ``k`` simulator queries
 and the batch can run on a parallel engine backend.
+
+Algorithm 1 re-initializes the critic on every iteration; that is
+``critic_refresh=1``, which reproduces it exactly.  The critic fit is
+nearly all of an iteration's cost, so the default (``critic_refresh=5``)
+keeps the trained critic, as Dyna-style model-based design does, and
+pays for a full fit only every fifth iteration.
 
 All learning happens in normalized coordinates: designs in the unit cube,
 specs in the ``fi <= 0`` violation form.
@@ -62,6 +72,15 @@ class DNNOpt(Optimizer):
     max_pseudo:
         Cap on pseudo-samples per iteration (the full ``N^2`` is used when
         it fits).
+    critic_refresh:
+        Model fit ``n`` (counted from 0 per optimizer) builds a fresh critic
+        and trains it for ``critic_epochs`` when ``n % critic_refresh == 0``;
+        every other fit fine-tunes the previous critic for
+        ``max(1, critic_epochs // critic_refresh)`` epochs on freshly drawn
+        pseudo-samples.  ``1`` is the paper's Algorithm 1 (a fresh critic
+        every iteration).
+    critic_epochs / critic_batch / actor_epochs:
+        Training epochs and minibatch size; all must be >= 1.
     use_pseudo_samples / use_delta_input:
         Ablation switches: disable Eq. 2 augmentation and/or train a plain
         d-input critic on raw samples (used by the critic ablation bench).
@@ -86,6 +105,7 @@ class DNNOpt(Optimizer):
                  critic_epochs: int = 20,
                  critic_lr: float = 1e-3,
                  critic_batch: int = 128,
+                 critic_refresh: int = 5,
                  actor_hidden: tuple[int, ...] = (64, 64),
                  actor_epochs: int = 30,
                  actor_lr: float = 1e-3,
@@ -101,8 +121,13 @@ class DNNOpt(Optimizer):
             raise ValueError("n_elite must be >= 2")
         if n_init < 2:
             raise ValueError("n_init must be >= 2")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, value in (("batch_size", batch_size), ("max_pseudo", max_pseudo),
+                            ("critic_epochs", critic_epochs),
+                            ("critic_batch", critic_batch),
+                            ("critic_refresh", critic_refresh),
+                            ("actor_epochs", actor_epochs)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.batch_size = int(batch_size)
         self.n_init = int(n_init)
         self.n_elite = int(n_elite)
@@ -113,6 +138,7 @@ class DNNOpt(Optimizer):
         self.critic_epochs = int(critic_epochs)
         self.critic_lr = float(critic_lr)
         self.critic_batch = int(critic_batch)
+        self.critic_refresh = int(critic_refresh)
         self.actor_hidden = tuple(actor_hidden)
         self.actor_epochs = int(actor_epochs)
         self.actor_lr = float(actor_lr)
@@ -122,6 +148,8 @@ class DNNOpt(Optimizer):
                                 else np.atleast_2d(np.asarray(initial_designs, dtype=np.float64)))
         self._init_plan: np.ndarray | None = None
         self._init_served = 0
+        self._critic: Critic | None = None
+        self._n_fits = 0  # completed model fits; drives the critic refresh
 
     # ------------------------------------------------------------------
     # ask/tell protocol
@@ -174,20 +202,13 @@ class DNNOpt(Optimizer):
         return self._next_candidates(count=max(1, int(count)))
 
     # ------------------------------------------------------------------
-    def _next_candidate(self) -> np.ndarray:
-        """Single next query (Algorithm 1 line 9) — ``batch_size=1`` view."""
-        return self._next_candidates(count=1)[0]
-
-    def _next_candidates(self, count: int | None = None) -> np.ndarray:
+    def _next_candidates(self, count: int) -> np.ndarray:
         """The next ``count`` simulator queries as a ``(count, d)`` batch.
 
         One actor/critic retraining selects all ``count`` candidates: the
         top-k critic-scored, mutually non-duplicate proposals (Eq. 8
         generalized from argmin to top-k).
         """
-        if count is None:
-            count = min(self.batch_size, self.budget - self.history.n_evals)
-        count = max(1, int(count))
         space = self.problem.space
         with self.timed_modeling():
             Xn = space.normalize(self.history.X)
@@ -195,17 +216,23 @@ class DNNOpt(Optimizer):
             w0 = self.problem.objective.weight
             weights = self.problem.constraint_weights()
 
-            # Lines 3-5: fresh critic trained on pseudo-samples.
-            critic = Critic(space.dim, Yn.shape[1], hidden=self.critic_hidden,
-                            lr=self.critic_lr, epochs=self.critic_epochs,
-                            batch_size=self.critic_batch, rng=self.rng)
+            # Lines 3-5: a critic trained on pseudo-samples, fresh on every
+            # ``critic_refresh``-th fit and briefly fine-tuned in between.
+            fresh = self._n_fits % self.critic_refresh == 0
+            if fresh:
+                self._critic = Critic(space.dim, Yn.shape[1], hidden=self.critic_hidden,
+                                      lr=self.critic_lr, epochs=self.critic_epochs,
+                                      batch_size=self.critic_batch, rng=self.rng)
+            critic = self._critic
             if self.use_pseudo_samples:
                 inputs, targets = generate_pseudo_samples(
                     Xn, Yn, rng=self.rng, max_pairs=self.max_pseudo)
             else:
                 inputs = np.concatenate([Xn, np.zeros_like(Xn)], axis=1)
                 targets = Yn
-            critic.fit(inputs, targets)
+            critic.fit(inputs, targets, epochs=(
+                None if fresh else max(1, self.critic_epochs // self.critic_refresh)))
+            self._n_fits += 1
 
             # Lines 7-8: elite population and restricted region.
             elites = self._elite_designs(Xn)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DNNOpt
+import repro.core.dnn_opt as dnn_opt_module
+from repro.core import Critic, DNNOpt, Study
 from repro.problems import ConstrainedSphere, PressureVessel, Sphere
 
 
@@ -89,6 +90,10 @@ def test_invalid_parameters_rejected():
         DNNOpt(Sphere(2), 10, n_init=1)
     with pytest.raises(ValueError):
         DNNOpt(Sphere(2), 0)
+    for name in ("critic_refresh", "critic_epochs", "critic_batch", "actor_epochs",
+                 "max_pseudo"):
+        with pytest.raises(ValueError, match=name):
+            DNNOpt(Sphere(2), 10, **{name: 0})
 
 
 def test_budget_smaller_than_ninit():
@@ -191,3 +196,74 @@ def test_select_non_duplicate_prefers_scored_candidates():
     lb, ub = np.zeros(2), np.ones(2)
     chosen = opt._select_non_duplicate(candidates, scores, lb, ub, count=2)
     np.testing.assert_allclose(chosen, candidates[[1, 2]])
+
+
+# ----------------------------------------------------------------------
+# Critic refresh schedule: a fresh critic every ``critic_refresh`` fits,
+# short warm fine-tunes of the previous one in between
+# ----------------------------------------------------------------------
+@pytest.fixture
+def recording_critic(monkeypatch):
+    """Swap DNN-Opt's Critic for a subclass that logs builds and fits.
+
+    Each fit logs ``(critic, epochs, weights before, weights after)``.
+    """
+    log = {"built": [], "fits": []}
+
+    class RecordingCritic(Critic):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log["built"].append(self)
+
+        def fit(self, inputs, targets, *, epochs=None):
+            before = [p.data.copy() for p in self.net.parameters()]
+            loss = super().fit(inputs, targets, epochs=epochs)
+            after = [p.data.copy() for p in self.net.parameters()]
+            log["fits"].append((self, epochs, before, after))
+            return loss
+
+    monkeypatch.setattr(dnn_opt_module, "Critic", RecordingCritic)
+    return log
+
+
+def test_critic_refresh_one_builds_a_fresh_critic_every_ask(recording_critic):
+    fast_dnnopt(Sphere(2), 15, seed=21, critic_refresh=1).run()
+    assert len(recording_critic["built"]) == 5  # one per model-based ask
+    assert [epochs for _, epochs, _, _ in recording_critic["fits"]] == [None] * 5
+
+
+def test_critic_refresh_schedule_builds_every_fifth_fit(recording_critic):
+    fast_dnnopt(Sphere(2), 17, seed=22, critic_epochs=10, critic_refresh=5).run()
+    fits = recording_critic["fits"]
+    assert len(fits) == 7
+    assert len(recording_critic["built"]) == 2
+    assert [epochs for _, epochs, _, _ in fits] == [None, 2, 2, 2, 2, None, 2]
+    owners = [critic for critic, _, _, _ in fits]
+    assert owners[:5] == [recording_critic["built"][0]] * 5
+    assert owners[5:] == [recording_critic["built"][1]] * 2
+
+
+def test_warm_fit_starts_from_previous_weights(recording_critic):
+    fast_dnnopt(Sphere(2), 13, seed=23, critic_refresh=5).run()
+    fits = recording_critic["fits"]
+    assert len(fits) == 3
+    for (_, _, _, previous_after), (_, epochs, before, after) in zip(fits, fits[1:]):
+        assert epochs == 1  # max(1, 8 // 5)
+        for start, end in zip(before, previous_after):
+            np.testing.assert_array_equal(start, end)
+        assert any(not np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_checkpoint_mid_cycle_resumes_bit_identical(tmp_path):
+    make = lambda: fast_dnnopt(Sphere(2), 22, seed=24, critic_refresh=5)
+    reference = Study(make()).run()
+
+    # Stop after 13 simulations: 3 model fits, mid-way through the first cycle.
+    path = tmp_path / "ckpt.json"
+    partial = Study(make(), checkpoint_path=str(path),
+                    callbacks=[lambda s: s.history.n_evals >= 13
+                               and s.request_stop()]).run()
+    assert partial.n_evals == 13
+    finished = Study.load(str(path), make()).run()
+    np.testing.assert_array_equal(reference.X, finished.X)
+    np.testing.assert_array_equal(reference.F, finished.F)
