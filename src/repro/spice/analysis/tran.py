@@ -181,6 +181,10 @@ def transient(circuit, tstep: float, tstop: float, *, uic: bool = False,
     """
     if tstep <= 0 or tstop <= 0 or tstep > tstop:
         raise AnalysisError("need 0 < tstep <= tstop")
+    if max_newton < 1:
+        # Zero Newton iterations converge nothing: every step would halve
+        # down to a misleading "transient stalled at t=0".
+        raise AnalysisError(f"need max_newton >= 1, got {max_newton}")
     single = not isinstance(circuit, (list, tuple))
     circuits = [circuit] if single else list(circuit)
     runs: list[_Trajectory | SpiceError] = []

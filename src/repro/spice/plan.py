@@ -36,6 +36,32 @@ that with:
   design's stamps are bit-identical whatever batch it rides in.  The
   ``J_lin @ x`` matvec stays one call per system for the same reason (a
   stacked ``matmul`` may round differently from ``gemv``).
+* **Few NumPy calls per iteration.**  On one design of a few dozen devices
+  an iteration's cost is the fixed overhead of each NumPy call, not its
+  arithmetic, so the kernel makes as few calls as it can: per-device
+  constants (``4 delta^2``, ``k lambda``, ``gamma / 2``, the Meyer sums) are
+  baked at build; one effective-source select orients every device; each
+  stamp value is one gather from a table of the derivatives, the drain
+  current and their negations, at the row its slot takes in the device's
+  orientation; the Meyer capacitances are rows of a per-region table; and
+  the source terms of a step are computed once in
+  :meth:`StampPlan.begin_step`.
+* **Per-step bias reuse.**  ``advance`` biases the accepted solution
+  (orientation, body effect, smoothed overdrive) for the Meyer capacitances
+  and keeps that bias, keyed on the bytes of the gathered iterate.  The next
+  step's first Newton assembly starts from the same solution, finds the key
+  bitwise equal and skips the bias; an assembly at any other iterate (a
+  later Newton iteration) computes its own.  Only the transient path keeps
+  a bias, so plans that only solve operating points hold none.
+
+**Bit-identity rule for the hot path.**  Every rewrite of this module must
+keep each stamp bit-identical: the same IEEE operations on the same operands
+in the same order, where the only permitted changes are constants baked
+ahead of time (evaluated by the same expression), reuse of an identical
+subexpression, and exact sign flips (negation, products with +-1, halving).
+``tests/spice/test_mosfet_kernel.py`` pins the MOSFET kernel bitwise
+against its term-by-term reference, and the end-to-end benchmark's history
+hashes (``e2e_bench/run.py --trace 1``) must not change.
 
 Numerical equivalence with the legacy path (same stamps, different summation
 order) is pinned by ``tests/spice/test_stamp_plan.py``.  The legacy path
@@ -68,8 +94,15 @@ if _MODE not in _MODES:  # pragma: no cover - env misconfiguration
     _MODE = "plan"
 
 _THETA_DT = TRAP_THETA  # alias: companion theta shared with the devices
-_PAIR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-_RES_SIGNS = np.array([-1.0, 1.0])
+_HISTORY = (1.0 - _THETA_DT) / _THETA_DT  # trapezoidal history-current weight
+_PAIR_SIGNS = (1.0, -1.0, -1.0, 1.0)  # two-terminal Jacobian stamp (a,a) (a,b) (b,a) (b,b)
+_CURRENT_SIGNS = (1.0, -1.0)          # a current leaving node a and entering node b
+_HISTORY_SIGNS = (-1.0, 1.0)          # a companion history current, (a, b)
+#: Row of the MOSFET stamp table (see ``_MOSFETBatch.evaluate``) that each
+#: static stamp slot reads, forward and reversed: Jacobian rows (d, s) x
+#: cols (d, g, s, b), then residual rows (d, s).
+_STAMP_ROWS_FWD = np.array([0, 1, 2, 3, 5, 6, 7, 8, 4, 9])
+_STAMP_ROWS_REV = np.array([7, 6, 5, 8, 2, 1, 0, 3, 9, 4])
 
 
 def stamping_mode() -> str:
@@ -118,16 +151,20 @@ def _flat_res_scatter(rows: np.ndarray, base: np.ndarray):
     return sel, idx
 
 
-def _columns(*columns: np.ndarray) -> np.ndarray:
-    """``np.stack(columns, axis=1)`` without its per-call Python overhead."""
-    out = np.empty((len(columns[0]), len(columns)))
-    for j, column in enumerate(columns):
-        out[:, j] = column
-    return out
+def _signed_gather(sel: np.ndarray, signs) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, sign)`` reading a signed stamp straight from its values.
+
+    ``sel`` selects entries of the flattened ``(..., len(signs))`` array
+    whose slot ``k`` holds ``signs[k] * value``; ``value.ravel()[src] * sign``
+    gives those entries without building that array (a product with +-1 is
+    exact, so the stamps are bit-identical).
+    """
+    src, slot = np.divmod(sel, len(signs))
+    return src, np.asarray(signs)[slot]
 
 
-def _by_method(trap, trapezoidal, euler) -> tuple:
-    """Evaluate each system's companion formula (both return tuples).
+def _by_method(trap, trapezoidal, euler, *args) -> tuple:
+    """Evaluate each system's companion formula ``formula(*args)`` (a tuple).
 
     ``trap`` is one bool when every system steps with the same integration
     method (only that formula runs), else a per-device mask: both formulas
@@ -135,21 +172,32 @@ def _by_method(trap, trapezoidal, euler) -> tuple:
     one-method evaluation exactly.
     """
     if isinstance(trap, bool):
-        return trapezoidal() if trap else euler()
-    return tuple(np.where(trap, a, b) for a, b in zip(trapezoidal(), euler()))
+        return trapezoidal(*args) if trap else euler(*args)
+    return tuple(np.where(trap, a, b) for a, b in zip(trapezoidal(*args), euler(*args)))
+
+
+def _trapezoidal_companion(cap, v, i, dt) -> tuple:
+    geq = cap / (_THETA_DT * dt)
+    return geq, geq * v + _HISTORY * i
+
+
+def _euler_companion(cap, v, i, dt) -> tuple:
+    geq = cap / dt
+    return geq, geq * v
 
 
 def _companion(cap, v, i, dt, trap) -> tuple:
     """Companion conductance and history current of capacitances ``cap``."""
-    def trapezoidal():
-        geq = cap / (_THETA_DT * dt)
-        return geq, geq * v + (1.0 - _THETA_DT) / _THETA_DT * i
+    return _by_method(trap, _trapezoidal_companion, _euler_companion, cap, v, i, dt)
 
-    def euler():
-        geq = cap / dt
-        return geq, geq * v
 
-    return _by_method(trap, trapezoidal, euler)
+def _trapezoidal_current(caps, v_old, i_old, v_new, dt) -> tuple:
+    geq = caps / (_THETA_DT * dt)
+    return (geq * (v_new - v_old) - _HISTORY * i_old,)
+
+
+def _euler_current(caps, v_old, i_old, v_new, dt) -> tuple:
+    return (caps / dt * (v_new - v_old),)
 
 
 class _Batch:
@@ -159,7 +207,8 @@ class _Batch:
     the same devices at the same positions in each.  Node indices become
     offsets into the stacked gather vector (``system * size + node``, ground
     -> the trailing zero slot), the residual (``system * size + row``) and
-    the flattened ``(B, size, size)`` Jacobian.
+    the flattened ``(B, size, size)`` Jacobian.  ``gather`` is laid out
+    ``(terminals, devices)`` so one fancy index yields a row per terminal.
     """
 
     def __init__(self, entries, size: int):
@@ -169,98 +218,167 @@ class _Batch:
         idx = np.array([e.nodes for _, e in flat], dtype=np.intp)
         self.node_base = (self.system * size)[:, None]
         self.jac_base = (self.system * size * size)[:, None]
-        self.gather = np.where(idx < 0, len(entries) * size, idx + self.node_base)
+        self.gather = np.ascontiguousarray(
+            np.where(idx < 0, len(entries) * size, idx + self.node_base).T)
         self.idx = idx
         self.size = size
 
-    def pair_scatter(self):
-        """Scatter for two-terminal stamps (a, a) (a, b) (b, a) (b, b)."""
+    def pair_scatter(self, res_signs):
+        """Scatter for two-terminal stamps (a, a) (a, b) (b, a) (b, b).
+
+        The Jacobian reads one conductance per device through
+        :data:`_PAIR_SIGNS`, the residual one current through ``res_signs``.
+        """
         a, b = self.idx[:, 0], self.idx[:, 1]
         rows = np.stack([a, a, b, b], axis=1)
         cols = np.stack([a, b, a, b], axis=1)
-        self.jac_sel, self.jac_idx = _flat_scatter(rows, cols, self.size, self.jac_base)
-        self.res_sel, self.res_idx = _flat_res_scatter(self.idx, self.node_base)
+        sel, self.jac_idx = _flat_scatter(rows, cols, self.size, self.jac_base)
+        self.jac_src, self.jac_sign = _signed_gather(sel, _PAIR_SIGNS)
+        sel, self.res_idx = _flat_res_scatter(self.idx, self.node_base)
+        self.res_src, self.res_sign = _signed_gather(sel, res_signs)
+
+    def voltages(self, xg: np.ndarray) -> np.ndarray:
+        """Terminal-0 minus terminal-1 voltage of every device."""
+        va, vb = xg[self.gather]
+        return va - vb
 
 
 class _MOSFETBatch(_Batch):
     """Vectorized square-law model + stamps for the exact-class MOSFETs.
 
     Mirrors ``MOSFET._ids``/``terminal_current``/``_capacitances`` term by
-    term so plan and legacy paths agree to summation-order rounding.
+    term so plan and legacy paths agree to summation-order rounding.  The
+    model runs the same IEEE operations in the same order as that
+    reference; constants are baked at build and orientation is applied by
+    exact sign flips and permuted reads, so every stamp is bit-identical to
+    the term-by-term arithmetic.
     """
 
     def __init__(self, entries, size: int):
         super().__init__(entries, size)
         devices, idx = self.devices, self.idx
+        n = len(devices)
         models = [dev.model for dev in devices]
         self.sign = np.array([1.0 if m.polarity == "n" else -1.0 for m in models])
         self.k = np.array([dev._k for dev in devices])
         self.lam = np.array([dev._lam for dev in devices])
+        self.klam = self.k * self.lam
         self.vto = np.array([m.vto for m in models])
         self.gamma = np.array([m.gamma for m in models])
+        # gamma / (2 sq) == (gamma / 2) / sq exactly (halving is exact); a
+        # gamma = 0 device gets a zero body-effect slope from it directly.
+        self.half_gamma = 0.5 * self.gamma
         self.phi = np.array([m.phi for m in models])
         self.sqrt_phi = np.sqrt(self.phi)
-        self.smooth = np.array([m.smooth for m in models])
-        # Capacitance building blocks (constant per device).
-        self.cox_total = np.array([m.cox * d.w * d.l * d.m for m, d in zip(models, devices)])
-        self.ovl_s = np.array([m.cgso * d.w * d.m for m, d in zip(models, devices)])
-        self.ovl_d = np.array([m.cgdo * d.w * d.m for m, d in zip(models, devices)])
-        self.cj_diff = np.array([m.cj * d.w * 3.0 * m.lref * d.m
-                                 for m, d in zip(models, devices)])
-
+        delta = np.array([m.smooth for m in models])
+        self.four_delta_sq = 4.0 * delta * delta
         # Static scatter: rows (d, s) x cols (d, g, s, b), then residual (d, s).
+        # Every stamp value is one read of the stamp table, at the row its
+        # slot takes in the device's orientation.
         rows = np.repeat(idx[:, [0, 2]], 4, axis=1)            # d d d d s s s s
         cols = np.tile(idx, (1, 2))                            # d g s b d g s b
-        self.jac_sel, self.jac_idx = _flat_scatter(rows, cols, size, self.jac_base)
-        self.res_sel, self.res_idx = _flat_res_scatter(idx[:, [0, 2]], self.node_base)
+        jac_sel, self.jac_idx = _flat_scatter(rows, cols, size, self.jac_base)
+        res_sel, self.res_idx = _flat_res_scatter(idx[:, [0, 2]], self.node_base)
+        jac_dev, jac_slot = np.divmod(jac_sel, 8)
+        res_dev, res_slot = np.divmod(res_sel, 2)
+        self.stamp_dev = np.concatenate([jac_dev, res_dev])
+        slot = np.concatenate([jac_slot, 8 + res_slot])
+        self.stamp_fwd = _STAMP_ROWS_FWD[slot] * n + self.stamp_dev
+        self.stamp_rev = _STAMP_ROWS_REV[slot] * n + self.stamp_dev
+        self.n_jac = len(jac_sel)
+        self._table = np.empty((10, n))
+        self._table_flat = self._table.ravel()
+        self._table_rows = tuple(self._table[:5])              # views written in place
+        self._table_halves = self._table[:5], self._table[5:]
+        self._bias_memo = (None, None)
+        self._cap_table = None  # transient-only tables: see prepare_transient
+
+    def prepare_transient(self) -> None:
+        """Bake the Meyer-capacitor tables on first transient use.
+
+        Most plans only solve operating points and never need them.
+        """
+        if self._cap_table is not None:
+            return
+        devices, idx, size, n = self.devices, self.idx, self.size, len(self.devices)
+        models = [dev.model for dev in devices]
+        # Meyer capacitances (cgs, cgd, cgb, cdb, csb) of every device for
+        # each region code of :meth:`capacitances`: the piecewise model is
+        # evaluated once per code here, and each step only looks rows up.
+        cox = np.array([m.cox * d.w * d.l * d.m for m, d in zip(models, devices)])
+        ovl_s = np.array([m.cgso * d.w * d.m for m, d in zip(models, devices)])
+        ovl_d = np.array([m.cgdo * d.w * d.m for m, d in zip(models, devices)])
+        cj_diff = np.array([m.cj * d.w * 3.0 * m.lref * d.m for m, d in zip(models, devices)])
+        code = np.arange(8)[:, None]
+        cutoff, fwd = (code & 4) > 0, (code & 1) > 0
+        saturation = ~cutoff & ((code & 2) > 0)
+        cgs = np.where(cutoff, ovl_s, np.where(saturation, (2.0 / 3.0) * cox + ovl_s,
+                                               0.5 * cox + ovl_s))
+        cgd = np.where(cutoff | saturation, ovl_d, 0.5 * cox + ovl_d)
+        cgb = np.where(cutoff, cox, 0.0)
+        cj_diff = np.broadcast_to(cj_diff, cgb.shape)
+        self._cap_table = np.stack([np.where(fwd, cgs, cgd), np.where(fwd, cgd, cgs), cgb,
+                                    cj_diff, cj_diff], axis=2).ravel()  # (code, device, cap)
+        self._cap_index = np.arange(n * 5).reshape(n, 5)
 
         # Meyer capacitor pairs (g,s) (g,d) (g,b) (d,b) (s,b).
         pairs = MOSFET._CAP_PAIRS
-        self.pair_a_cols = np.array([p[0] for p in pairs])
-        self.pair_b_cols = np.array([p[1] for p in pairs])
-        pa = idx[:, self.pair_a_cols]                          # (n, 5)
-        pb = idx[:, self.pair_b_cols]
+        pair_a = np.array([p[0] for p in pairs])
+        pair_b = np.array([p[1] for p in pairs])
+        self.pair_a_gather = self.gather[pair_a].T.copy()      # (n, 5)
+        self.pair_b_gather = self.gather[pair_b].T.copy()
+        pa = idx[:, pair_a]                                    # (n, 5)
+        pb = idx[:, pair_b]
         prow = np.stack([pa, pa, pb, pb], axis=2)              # (n, 5, 4)
         pcol = np.stack([pa, pb, pa, pb], axis=2)
-        self.pjac_sel, self.pjac_idx = _flat_scatter(prow, pcol, size,
-                                                     self.jac_base[:, :, None])
-        self.pres_sel, self.pres_idx = _flat_res_scatter(np.stack([pa, pb], axis=2),
-                                                         self.node_base[:, :, None])
+        sel, self.pjac_idx = _flat_scatter(prow, pcol, size, self.jac_base[:, :, None])
+        self.pjac_src, self.pjac_sign = _signed_gather(sel, _PAIR_SIGNS)
+        sel, self.pres_idx = _flat_res_scatter(np.stack([pa, pb], axis=2),
+                                               self.node_base[:, :, None])
+        self.pres_src, self.pres_sign = _signed_gather(sel, _HISTORY_SIGNS)
 
     # -- model evaluation ------------------------------------------------
     def _bias(self, xg: np.ndarray):
         """Orientation, body effect and smoothed overdrive for every device."""
-        v = xg[self.gather]                                    # (n, 4)
-        nv = self.sign[:, None] * v
-        nvd, nvg, nvs, nvb = nv[:, 0], nv[:, 1], nv[:, 2], nv[:, 3]
+        nvd, nvg, nvs, nvb = xg[self.gather] * self.sign
         fwd = nvd >= nvs
-        vgs = np.where(fwd, nvg - nvs, nvg - nvd)
-        vds = np.where(fwd, nvd - nvs, nvs - nvd)
-        vsb = np.where(fwd, nvs - nvb, nvd - nvb)
-
-        arg = np.maximum(self.phi + vsb, 0.05)
-        sq = np.sqrt(arg)
+        src = np.where(fwd, nvs, nvd)                          # effective source
+        vgs = nvg - src
+        vds = np.abs(nvd - nvs)   # nvd - nvs forward, nvs - nvd (its exact negation) reversed
+        vsb = src - nvb
+        body = self.phi + vsb
+        sq = np.sqrt(np.maximum(body, 0.05))
         vth = self.vto + self.gamma * (sq - self.sqrt_phi)
 
-        delta = self.smooth
         vov = vgs - vth
-        s = np.sqrt(vov * vov + 4.0 * delta * delta)
+        s = np.sqrt(vov * vov + self.four_delta_sq)
         vov_eff = 0.5 * (vov + s)
-        return fwd, vds, vsb, sq, vov, s, vov_eff
+        return fwd, vds, body, sq, vov, s, vov_eff
 
     def evaluate(self, xg: np.ndarray):
-        """Terminal currents and derivatives for every device."""
-        fwd, vds, vsb, sq, vov, s, vov_eff = self._bias(xg)
-        dvth = np.where((self.phi + vsb < 0.05) | (self.gamma == 0.0),
-                        0.0, self.gamma / (2.0 * sq))
+        """Orientation and stamp table of every device.
+
+        Returns ``(fwd, table)``.  In the forward orientation (``fwd``)
+        ``table`` rows 0-3 hold the drain current's derivatives wrt (vd, vg,
+        vs, vb) (polarity signs cancel) and row 4 the drain current; rows
+        5-9 are their exact negations.  A reversed device's drain current is
+        row 9 and its derivatives are rows (7, 6, 5, 8).  ``table`` is a
+        workspace overwritten by the next call.
+        """
+        # A transient step's first Newton assembly runs at the solution the
+        # previous step's ``advance`` just biased for the capacitances.
+        key, bias = self._bias_memo
+        if key != xg.tobytes():
+            bias = self._bias(xg)
+        fwd, vds, body, sq, vov, s, vov_eff = bias
+        dvth = np.where(body < 0.05, 0.0, self.half_gamma / sq)
         dvov_eff = 0.5 * (1.0 + vov / s)
 
         vdsat = vov_eff
         r = vds / vdsat
         r4 = r ** 4
         one_p = 1.0 + r4
-        u = one_p ** 0.25
-        vdse = vds / u
+        vdse = vds / one_p ** 0.25
         dvdse_dvds = one_p ** -1.25
         dvdse_dvdsat = (r ** 5) * dvdse_dvds
 
@@ -268,49 +386,40 @@ class _MOSFETBatch(_Batch):
         f = vov_eff * vdse - 0.5 * vdse * vdse
         ids = self.k * f * clm
 
-        did_dvdse = self.k * clm * (vov_eff - vdse)
-        did_dvov = self.k * clm * vdse + did_dvdse * dvdse_dvdsat
-        did_dvgs = did_dvov * dvov_eff
-        did_dvds = self.k * self.lam * f + did_dvdse * dvdse_dvds
-        did_dvsb = -did_dvov * dvov_eff * dvth
-
-        signed = self.sign * ids
-        current = np.where(fwd, signed, -signed)
-        # Terminal derivatives wrt (vd, vg, vs, vb); polarity signs cancel.
-        # The reverse orientation is a signed permutation of the forward one:
-        # (dg+dd-db, -dg, -dd, db) == -(fwd[2], fwd[1], fwd[0], fwd[3]).
-        forward = _columns(did_dvds, did_dvgs,
-                           -did_dvgs - did_dvds + did_dvsb, -did_dvsb)
-        derivs = np.where(fwd[:, None], forward, -forward[:, [2, 1, 0, 3]])
-        return current, derivs
+        k_clm = self.k * clm
+        did_dvdse = k_clm * (vov_eff - vdse)
+        did_dvov = k_clm * vdse + did_dvdse * dvdse_dvdsat
+        dd, dg, ds, db, current = self._table_rows
+        np.add(self.klam * f, did_dvdse * dvdse_dvds, out=dd)  # did_dvds
+        np.multiply(did_dvov, dvov_eff, out=dg)                # did_dvgs
+        np.multiply(dg, dvth, out=db)                          # -did_dvsb, exactly
+        np.subtract(-dg - dd, db, out=ds)
+        np.multiply(self.sign, ids, out=current)
+        np.negative(*self._table_halves)
+        return fwd, self._table
 
     def static_values(self, xg: np.ndarray):
-        current, derivs = self.evaluate(xg)
-        jac = np.concatenate([derivs, -derivs], axis=1).ravel()[self.jac_sel]
-        res = _columns(current, -current).ravel()[self.res_sel]
-        return jac, res
+        fwd, _ = self.evaluate(xg)
+        values = self._table_flat[np.where(fwd[self.stamp_dev], self.stamp_fwd,
+                                           self.stamp_rev)]
+        return values[:self.n_jac], values[self.n_jac:]
 
     def capacitances(self, xg: np.ndarray) -> np.ndarray:
         """Meyer capacitances (n, 5) at the given node voltages.
 
         Needs only the region (overdrive, vds vs vdsat, orientation), so it
-        stops after :meth:`_bias` instead of running the full current model.
+        stops after :meth:`_bias` instead of running the full current model
+        and reads each device's row of the baked region table.  The bias is
+        kept, keyed on the bytes of ``xg``, for :meth:`evaluate` to reuse.
         """
-        fwd, vds, _, _, vov, _, vdsat = self._bias(xg)
-        cutoff = vov < 0.0
-        saturation = ~cutoff & (vds >= vdsat)
-        cgs = np.where(cutoff, self.ovl_s,
-                       np.where(saturation, (2.0 / 3.0) * self.cox_total + self.ovl_s,
-                                0.5 * self.cox_total + self.ovl_s))
-        cgd = np.where(cutoff | saturation, self.ovl_d,
-                       0.5 * self.cox_total + self.ovl_d)
-        cgb = np.where(cutoff, self.cox_total, 0.0)
-        cgs, cgd = (np.where(fwd, cgs, cgd), np.where(fwd, cgd, cgs))
-        return _columns(cgs, cgd, cgb, self.cj_diff, self.cj_diff)
+        bias = self._bias(xg)
+        self._bias_memo = xg.tobytes(), bias
+        fwd, vds, _, _, vov, _, vdsat = bias
+        code = (vov < 0.0) * 4 + (vds >= vdsat) * 2 + fwd     # cutoff, saturated, forward
+        return self._cap_table[code[:, None] * self._cap_index.size + self._cap_index]
 
     def pair_voltages(self, xg: np.ndarray) -> np.ndarray:
-        v = xg[self.gather]
-        return v[:, self.pair_a_cols] - v[:, self.pair_b_cols]
+        return xg[self.pair_a_gather] - xg[self.pair_b_gather]
 
     def companions(self, caps, v, i, dt, trap):
         """Companion conductances/currents for the state (start of step)."""
@@ -319,14 +428,8 @@ class _MOSFETBatch(_Batch):
         return np.where(live, geq, 0.0), np.where(live, ieq, 0.0)
 
     def updated_currents(self, caps, v_old, i_old, v_new, dt, trap):
-        def trapezoidal():
-            geq = caps / (_THETA_DT * dt)
-            return (geq * (v_new - v_old) - (1.0 - _THETA_DT) / _THETA_DT * i_old,)
-
-        def euler():
-            return (caps / dt * (v_new - v_old),)
-
-        i_new, = _by_method(trap, trapezoidal, euler)
+        i_new, = _by_method(trap, _trapezoidal_current, _euler_current,
+                            caps, v_old, i_old, v_new, dt)
         return np.where(caps > 0.0, i_new, 0.0)
 
 
@@ -342,11 +445,10 @@ class _DiodeBatch(_Batch):
         exp_crit = np.exp(self.vcrit / self.vte)
         self.g0 = self.isat / self.vte * exp_crit
         self.i0 = self.isat * (exp_crit - 1.0)
-        self.pair_scatter()
+        self.pair_scatter(_CURRENT_SIGNS)
 
     def static_values(self, xg: np.ndarray):
-        v = xg[self.gather]
-        vd = v[:, 0] - v[:, 1]
+        vd = self.voltages(xg)
         lin = vd > self.vcrit
         neg = vd < -20.0 * self.vte
         safe = np.where(lin | neg, 0.0, vd)
@@ -355,9 +457,7 @@ class _DiodeBatch(_Batch):
                            np.where(neg, -self.isat, self.isat * (expv - 1.0)))
         g = np.where(lin, self.g0,
                      np.where(neg, 1e-15, self.isat / self.vte * expv))
-        jac = (g[:, None] * _PAIR_SIGNS).ravel()[self.jac_sel]
-        res = _columns(current, -current).ravel()[self.res_sel]
-        return jac, res
+        return g[self.jac_src] * self.jac_sign, current[self.res_src] * self.res_sign
 
 
 class _CapacitorBatch(_Batch):
@@ -366,11 +466,7 @@ class _CapacitorBatch(_Batch):
     def __init__(self, entries, size: int):
         super().__init__(entries, size)
         self.value = np.array([dev.value for dev in self.devices])
-        self.pair_scatter()
-
-    def voltages(self, xg: np.ndarray) -> np.ndarray:
-        v = xg[self.gather]
-        return v[:, 0] - v[:, 1]
+        self.pair_scatter(_HISTORY_SIGNS)
 
     def companions(self, v, i, dt, trap):
         return _companion(self.value, v, i, dt, trap)
@@ -427,6 +523,9 @@ class StampPlan:
         self._num_nodes = first.num_nodes
         self.J = np.zeros((B, size, size))
         self.F = np.zeros((B, size))
+        self._J_flat = self.J.ravel()
+        self._F_flat = self.F.ravel()
+        self._F_rows = list(self.F)
         self.systems = [System(size, self.J[b], self.F[b]) for b in range(B)]
         self._xg = np.zeros(B * size + 1)  # stacked x plus a trailing ground zero
         self._x0 = np.zeros(size)
@@ -465,6 +564,7 @@ class StampPlan:
         self._mos = _MOSFETBatch(entries(mos), size) if mos else None
         self._diodes = _DiodeBatch(entries(diodes), size) if diodes else None
         self._caps = _CapacitorBatch(entries(caps), size) if caps else None
+        self._vectorized = [batch for batch in (self._mos, self._diodes) if batch is not None]
         self._generic_nonlinear = entries(generic_nonlinear)  # per-iteration fallback
         self._generic_dynamic = entries(generic_dynamic)      # per-step affine capture
 
@@ -479,6 +579,7 @@ class StampPlan:
             scratch.time = None
             for device, idx in system:
                 device.stamp_static(scratch, self._x0, idx)
+        self._J_lin_rows = list(self._J_lin)
 
         # Independent sources, system-major.  Voltage sources own distinct
         # branch rows; current-source terms keep their per-source order
@@ -499,6 +600,9 @@ class StampPlan:
         # Per-step transient bake targets.
         self._J_step = np.zeros((B, size, size))
         self._c_step = np.zeros((B, size))
+        self._J_step_rows = list(self._J_step)
+        self._J_step_flat = self._J_step.ravel()
+        self._c_step_flat = self._c_step.ravel()
         self._step_sources = None
         self._dyn_J = self._dyn_f = self._dyn_systems = None
         if generic_dynamic:
@@ -510,32 +614,32 @@ class StampPlan:
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
-    def _source_values(self, scale: float, times) -> tuple[np.ndarray, np.ndarray]:
-        """Independent-source levels, read fresh from the devices."""
+    def _source_terms(self, scale: float, times) -> tuple[np.ndarray, np.ndarray]:
+        """Voltage-source levels and signed current-source terms.
+
+        Levels are read fresh from the devices (``dc_sweep`` swaps their
+        waveforms between solves); :meth:`_apply_sources` scatters them.
+        """
         per_system = len(self._vsources) // self.batch
         volts = np.array([scale * device.voltage_at(times[pos // per_system])
                           for pos, device in enumerate(self._vsources)])
         per_system = len(self._isources) // self.batch
         amps = np.array([scale * device.current_at(times[pos // per_system])
                          for pos, device in enumerate(self._isources)])
-        return volts, amps
+        return volts, self._isign * amps[self._iterm]
 
-    def _apply_sources(self, F: np.ndarray, values) -> None:
-        volts, amps = values
-        F_flat = F.ravel()
+    def _apply_sources(self, terms) -> None:
+        volts, currents = terms
         if len(volts):
-            F_flat[self._vrows] -= volts
-        if len(self._irows):
-            np.add.at(F_flat, self._irows, self._isign * amps[self._iterm])
+            self._F_flat[self._vrows] -= volts
+        if len(currents):
+            np.add.at(self._F_flat, self._irows, currents)
 
     def _stamp_nonlinear(self, X: np.ndarray, xg: np.ndarray) -> None:
-        J_flat = self.J.ravel()
-        F_flat = self.F.ravel()
-        for batch in (self._mos, self._diodes):
-            if batch is not None:
-                jac, res = batch.static_values(xg)
-                np.add.at(J_flat, batch.jac_idx, jac)
-                np.add.at(F_flat, batch.res_idx, res)
+        for batch in self._vectorized:
+            jac, res = batch.static_values(xg)
+            np.add.at(self._J_flat, batch.jac_idx, jac)
+            np.add.at(self._F_flat, batch.res_idx, res)
         for sys, x, system in zip(self.systems, X, self._generic_nonlinear):
             for device, idx in system:
                 device.stamp_static(sys, x, idx)
@@ -548,10 +652,10 @@ class StampPlan:
     def _stacked(self, X) -> np.ndarray:
         return X if X.ndim == 2 else X.reshape(self.batch, self.size)
 
-    def _linear_residual(self, J_base: np.ndarray, X: np.ndarray) -> None:
-        """``F = J_base @ x`` one system at a time (``gemv`` rounding)."""
-        for b in range(self.batch):
-            np.matmul(J_base[b], X[b], out=self.F[b])
+    def _linear_residual(self, J_rows: list, X: np.ndarray) -> None:
+        """``F = J @ x`` one system at a time (``gemv`` rounding)."""
+        for J_b, x, F_b in zip(J_rows, X, self._F_rows):
+            np.matmul(J_b, x, out=F_b)
 
     # ------------------------------------------------------------------
     # DC / operating-point assembly
@@ -566,13 +670,13 @@ class StampPlan:
             sys.time = time
         J, F = self.J, self.F
         J[:] = self._J_lin
-        self._linear_residual(self._J_lin, X)
+        self._linear_residual(self._J_lin_rows, X)
         F += self._c_lin
-        self._apply_sources(F, self._source_values(source_scale, (time,) * self.batch))
+        self._apply_sources(self._source_terms(source_scale, (time,) * self.batch))
         self._stamp_nonlinear(X, self._gather(X))
         if gmin:
             nn = self._num_nodes
-            J.ravel()[self._diag_flat] += gmin
+            self._J_flat[self._diag_flat] += gmin
             F[:, :nn] += gmin * X[:, :nn]
         return J, F
 
@@ -585,6 +689,7 @@ class StampPlan:
         xg = self._gather(X)
         mos_caps = mos_v = mos_i = None
         if self._mos is not None:
+            self._mos.prepare_transient()
             mos_caps = self._mos.capacitances(xg)
             mos_v = self._mos.pair_voltages(xg)
             mos_i = np.zeros_like(mos_v)
@@ -630,31 +735,26 @@ class StampPlan:
         size and integration method.
         """
         t0 = perf_counter()
-        J = self._J_step
-        c = self._c_step
+        J, J_flat = self._J_step, self._J_step_flat
+        c, c_flat = self._c_step, self._c_step_flat
         J[:] = self._J_lin
         c[:] = self._c_lin
         # The floating-node gmin rides in J_step, so J_step @ x carries its
         # residual term too.
-        J.ravel()[self._diag_flat] += gmin
-        J_flat = J.ravel()
-        c_flat = c.ravel()
+        J_flat[self._diag_flat] += gmin
         step = self._uniform(dts, methods)
         if self._mos is not None:
-            dt, trap = self._step_columns(self._mos, *step, column=True)
-            geq, ieq = self._mos.companions(state.mos_caps, state.mos_v, state.mos_i,
-                                            dt, trap)
-            np.add.at(J_flat, self._mos.pjac_idx,
-                      (geq[:, :, None] * _PAIR_SIGNS).ravel()[self._mos.pjac_sel])
-            np.add.at(c_flat, self._mos.pres_idx,
-                      (ieq[:, :, None] * _RES_SIGNS).ravel()[self._mos.pres_sel])
+            mos = self._mos
+            dt, trap = self._step_columns(mos, *step, column=True)
+            geq, ieq = mos.companions(state.mos_caps, state.mos_v, state.mos_i, dt, trap)
+            np.add.at(J_flat, mos.pjac_idx, geq.ravel()[mos.pjac_src] * mos.pjac_sign)
+            np.add.at(c_flat, mos.pres_idx, ieq.ravel()[mos.pres_src] * mos.pres_sign)
         if self._caps is not None:
-            dt, trap = self._step_columns(self._caps, *step)
-            geq, ieq = self._caps.companions(state.cap_v, state.cap_i, dt, trap)
-            np.add.at(J_flat, self._caps.jac_idx,
-                      (geq[:, None] * _PAIR_SIGNS).ravel()[self._caps.jac_sel])
-            np.add.at(c_flat, self._caps.res_idx,
-                      (ieq[:, None] * _RES_SIGNS).ravel()[self._caps.res_sel])
+            caps = self._caps
+            dt, trap = self._step_columns(caps, *step)
+            geq, ieq = caps.companions(state.cap_v, state.cap_i, dt, trap)
+            np.add.at(J_flat, caps.jac_idx, geq[caps.jac_src] * caps.jac_sign)
+            np.add.at(c_flat, caps.res_idx, ieq[caps.res_src] * caps.res_sign)
         if self._dyn_systems is not None:
             self._dyn_J[:] = 0.0
             self._dyn_f[:] = 0.0
@@ -668,16 +768,16 @@ class StampPlan:
         for sys, time in zip(self.systems, times):
             sys.source_scale = 1.0
             sys.time = time
-        self._step_sources = self._source_values(1.0, times)
+        self._step_sources = self._source_terms(1.0, times)  # fixed for the whole step
         profile.add("assemble_s", perf_counter() - t0)
 
     def assemble_transient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Newton assembly within the step prepared by :meth:`begin_step`."""
         X = self._stacked(X)
         self.J[:] = self._J_step
-        self._linear_residual(self._J_step, X)
+        self._linear_residual(self._J_step_rows, X)
         self.F += self._c_step
-        self._apply_sources(self.F, self._step_sources)
+        self._apply_sources(self._step_sources)
         self._stamp_nonlinear(X, self._gather(X))
         return self.J, self.F
 
@@ -689,14 +789,14 @@ class StampPlan:
         """
         X_new = self._stacked(X_new)
         xg = self._gather(X_new)
-        every = bool(np.all(accepted))
+        mask = None if np.count_nonzero(accepted) == len(accepted) else np.asarray(accepted)
         step = self._uniform(dts, methods)
 
         def keep(batch, new, old):
-            if every:
+            if mask is None:
                 return new
-            mask = np.asarray(accepted)[batch.system]
-            return np.where(mask[:, None] if new.ndim == 2 else mask, new, old)
+            rows = mask[batch.system]
+            return np.where(rows[:, None] if new.ndim == 2 else rows, new, old)
 
         if self._mos is not None:
             mos = self._mos

@@ -57,49 +57,65 @@ def newton_batch(build, X0: np.ndarray, active=None, *, max_iter: int = 100,
     residual[:] = np.inf
     live = np.arange(B) if active is None else np.asarray(active, dtype=np.intp)
     profile.add("newton_solves", len(live))
-    for iteration in range(1, max_iter + 1):
-        rows = live
-        if not len(rows):
-            break
-        profile.add("newton_iterations", len(rows))
-        t0 = perf_counter()
-        J, F = build(X)
-        t1 = perf_counter()
-        profile.add("assemble_s", t1 - t0)
-        whole = len(rows) == B
-        if not whole:
-            J, F = J[rows], F[rows]
-        x = X if whole else X[rows]
-        try:
-            dX = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            dX = np.array([_solve_one(j, f) for j, f in zip(J, F)]).reshape(F.shape)
-        profile.add("solve_s", perf_counter() - t1)
-        size = np.abs(dX)
-        step = size.max(axis=1, initial=0.0)  # NaN and inf propagate
-        finite = np.isfinite(step)
-        done = (size <= abstol + reltol * np.abs(x)).all(axis=1)
-        damp = step > vlimit
-        if np.count_nonzero(damp):
-            # Damping: scale each update so no component moves more than
-            # vlimit.  Converged updates are applied undamped.
-            damp &= finite & ~done
-            dX[damp] = dX[damp] * (vlimit / step[damp])[:, None]
-        x_next = x + dX
-        leave = done | ~finite
-        if iteration == max_iter:
-            leave[:] = True
-        if np.count_nonzero(leave):
-            if np.count_nonzero(finite) < len(finite):
-                x_next[~finite] = x[~finite]
-            converged[rows[done]] = True
-            iterations[rows[leave]] = iteration
-            residual[rows[leave]] = np.abs(F[leave]).max(axis=1, initial=0.0)
-            live = rows[~leave]
-        if whole:
-            X = x_next
-        else:
-            X[rows] = x_next
+    # Hot-path counters accumulate locally and reach the table once.
+    system_iterations = 0
+    assemble_s = solve_s = 0.0
+    try:
+        for iteration in range(1, max_iter + 1):
+            rows = live
+            if not len(rows):
+                break
+            system_iterations += len(rows)
+            t0 = perf_counter()
+            J, F = build(X)
+            t1 = perf_counter()
+            assemble_s += t1 - t0
+            whole = len(rows) == B
+            if not whole:
+                J, F = J[rows], F[rows]
+            x = X if whole else X[rows]
+            try:
+                dX = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                dX = np.array([_solve_one(j, f) for j, f in zip(J, F)]).reshape(F.shape)
+            solve_s += perf_counter() - t1
+            size = np.abs(dX)
+            step = np.maximum.reduce(size, axis=1, initial=0.0)  # NaN and inf propagate
+            finite = np.isfinite(step)
+            done = np.logical_and.reduce(size <= abstol + reltol * np.abs(x), axis=1)
+            damp = step > vlimit
+            if np.count_nonzero(damp):
+                # Damping: scale each update so no component moves more than
+                # vlimit.  Converged updates are applied undamped.
+                damp &= finite & ~done
+                dX[damp] = dX[damp] * (vlimit / step[damp])[:, None]
+            x_next = x + dX
+            leave = done | ~finite
+            if iteration == max_iter:
+                leave[:] = True
+            leaving = np.count_nonzero(leave)
+            if leaving:
+                if np.count_nonzero(finite) < len(finite):
+                    x_next[~finite] = x[~finite]
+                if leaving < len(rows):
+                    rows_left = rows[leave]
+                    converged[rows[done]] = True
+                    F = F[leave]
+                    live = rows[~leave]
+                else:  # every live system leaves (always so for one design)
+                    rows_left = rows
+                    converged[rows] = done
+                    live = rows[:0]
+                iterations[rows_left] = iteration
+                residual[rows_left] = np.maximum.reduce(np.abs(F), axis=1, initial=0.0)
+            if whole:
+                X = x_next
+            else:
+                X[rows] = x_next
+    finally:
+        profile.add("newton_iterations", system_iterations)
+        profile.add("assemble_s", assemble_s)
+        profile.add("solve_s", solve_s)
     return X, converged, iterations, residual
 
 

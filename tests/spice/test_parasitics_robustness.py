@@ -91,6 +91,12 @@ class TestSolverRobustness:
             transient(c, 1e-9, -1.0)
         with pytest.raises(AnalysisError):
             transient(c, 1e-6, 1e-9)
+        # A Newton budget below one iteration is a caller error, reported up
+        # front instead of as a step-halving stall at t=0.
+        for max_newton in (0, -1):
+            for circuit in (c, [c, inverter()]):
+                with pytest.raises(AnalysisError, match="max_newton"):
+                    transient(circuit, 1e-9, 1e-8, max_newton=max_newton)
 
     def test_ac_requires_stimulus(self):
         c = Circuit()
