@@ -291,17 +291,7 @@ class _MOSFETBatch(_Batch):
         self._table_rows = tuple(self._table[:5])              # views written in place
         self._table_halves = self._table[:5], self._table[5:]
         self._bias_memo = (None, None)
-        self._cap_table = None  # transient-only tables: see prepare_transient
 
-    def prepare_transient(self) -> None:
-        """Bake the Meyer-capacitor tables on first transient use.
-
-        Most plans only solve operating points and never need them.
-        """
-        if self._cap_table is not None:
-            return
-        devices, idx, size, n = self.devices, self.idx, self.size, len(self.devices)
-        models = [dev.model for dev in devices]
         # Meyer capacitances (cgs, cgd, cgb, cdb, csb) of every device for
         # each region code of :meth:`capacitances`: the piecewise model is
         # evaluated once per code here, and each step only looks rows up.
@@ -689,7 +679,6 @@ class StampPlan:
         xg = self._gather(X)
         mos_caps = mos_v = mos_i = None
         if self._mos is not None:
-            self._mos.prepare_transient()
             mos_caps = self._mos.capacitances(xg)
             mos_v = self._mos.pair_voltages(xg)
             mos_i = np.zeros_like(mos_v)

@@ -93,21 +93,14 @@ def newton_batch(build, X0: np.ndarray, active=None, *, max_iter: int = 100,
             leave = done | ~finite
             if iteration == max_iter:
                 leave[:] = True
-            leaving = np.count_nonzero(leave)
-            if leaving:
+            if np.count_nonzero(leave):
                 if np.count_nonzero(finite) < len(finite):
                     x_next[~finite] = x[~finite]
-                if leaving < len(rows):
-                    rows_left = rows[leave]
-                    converged[rows[done]] = True
-                    F = F[leave]
-                    live = rows[~leave]
-                else:  # every live system leaves (always so for one design)
-                    rows_left = rows
-                    converged[rows] = done
-                    live = rows[:0]
-                iterations[rows_left] = iteration
-                residual[rows_left] = np.maximum.reduce(np.abs(F), axis=1, initial=0.0)
+                converged[rows[done]] = True
+                iterations[rows[leave]] = iteration
+                residual[rows[leave]] = np.maximum.reduce(np.abs(F[leave]), axis=1,
+                                                          initial=0.0)
+                live = rows[~leave]
             if whole:
                 X = x_next
             else:
