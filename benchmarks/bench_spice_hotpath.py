@@ -6,7 +6,8 @@ query pays for) and the StrongARM latch transient testbench, once with the
 legacy per-device restamp path ("before") and once with the compiled
 stamping plans ("after").  Alongside wall-clock sims/sec it reports Newton
 iterations/sec and AC solves/sec from the process-global hot-path counters
-(:mod:`repro.spice.profile`), plus the per-sim assemble/solve split.
+(:mod:`repro.spice.profile`), plus the per-sim assemble/solve split and the
+Newton iterations per solve.
 
 A third entry, ``strongarm_latch_b4``, times the latch's design batching:
 four seeded designs' testbench transients run one at a time ("before")
@@ -22,7 +23,10 @@ run into a regression gate: it fails when a measured *speedup ratio* drops
 below its floor fraction of the committed baseline's ratio.  The ratio —
 not absolute sims/sec — is the guarded metric because absolute
 throughput varies wildly across host machines while both modes share the
-same host in one run.
+same host in one run.  The gate also fails when the plan's Newton
+iterations per solve on either single-design circuit rise more than 5%
+above the baseline's: a count, so it is portable across hosts, and the
+number a change to the transient's Newton start (or step control) moves.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from repro.spice import profile, stamping
 #: batched latch entry shares it.
 REGRESSION_FLOOR = {"folded_cascode": 0.7, "strongarm_latch": 0.5,
                     "strongarm_latch_b4": 0.5}
+#: how far (as a multiple) Newton iterations per solve may exceed the baseline's
+ITERATION_CEILING = {"folded_cascode": 1.05, "strongarm_latch": 1.05}
 #: designs in the batched latch entry
 LATCH_BATCH = 4
 
@@ -76,6 +82,7 @@ def time_runs(simulate, sims: int, reps: int) -> dict:
         "seconds_per_sim_mean": elapsed / runs,
         "sims_per_sec": sims / best,
         "newton_iterations_per_sec": delta["newton_iterations"] / elapsed,
+        "newton_iterations_per_solve": delta["newton_iterations"] / delta["newton_solves"],
         "ac_solves_per_sec": delta["ac_solves"] / elapsed,
         "assemble_s_per_sim": delta["assemble_s"] / runs,
         "solve_s_per_sim": delta["solve_s"] / runs,
@@ -158,7 +165,8 @@ def report(results: dict) -> None:
               f"{after['ac_solves_per_sec']:8.0f} ac-solves/s")
         print(f"  speedup: {entry['speedup_sims_per_sec']:.2f}x   "
               f"(assemble {after['assemble_s_per_sim'] * 1e3:.1f} ms/sim, "
-              f"solve {after['solve_s_per_sim'] * 1e3:.1f} ms/sim)")
+              f"solve {after['solve_s_per_sim'] * 1e3:.1f} ms/sim, "
+              f"{after['newton_iterations_per_solve']:.3f} newton-iters/solve)")
         if "rows_identical" in entry:
             print(f"  rows identical: {entry['rows_identical']}")
 
@@ -179,6 +187,16 @@ def check_against(results: dict, baseline_path: Path) -> int:
         print(f"check {name}: speedup {measured:.2f}x vs baseline {base:.2f}x "
               f"(floor {floor:.2f}x) -> {verdict}")
         if measured < floor:
+            failures += 1
+    for name, ceiling in ITERATION_CEILING.items():
+        base = baseline.get(name, {}).get("after", {}).get("newton_iterations_per_solve")
+        if base is None:
+            continue
+        measured = results[name]["after"]["newton_iterations_per_solve"]
+        verdict = "ok" if measured <= ceiling * base else "REGRESSION"
+        print(f"check {name}: {measured:.3f} newton-iters/solve vs baseline {base:.3f} "
+              f"(ceiling {ceiling * base:.3f}) -> {verdict}")
+        if measured > ceiling * base:
             failures += 1
     return failures
 

@@ -118,6 +118,19 @@ class FoldedCascodeOTA(SizingCircuit):
             "MCAP": 1500.0, "Cf": 1000.0,
         }
 
+    def witness(self) -> dict[str, float]:
+        """A design that meets every spec: differential evolution's first
+        feasible design (seed 0, 600-simulation budget, simulation 559)."""
+        return {
+            "L1": 0.8228417405812622, "L2": 1.6217345936965855, "L3": 0.18,
+            "L4": 0.9080000000000001, "L5": 0.18, "L6": 0.8000067889695188,
+            "L7": 0.3181400226349973, "W1": 150.0, "W2": 125.77183038439948,
+            "W3": 123.14703126348786, "W4": 32.38899412830472,
+            "W5": 104.07470990490675, "W6": 80.19076339138556, "W7": 150.0,
+            "N1": 1.0, "N2": 1.0, "N8": 1.0, "N9": 13.0,
+            "MCAP": 117.34846256530675, "Cf": 100.0,
+        }
+
     # ------------------------------------------------------------------
     # Netlist
     # ------------------------------------------------------------------

@@ -79,6 +79,8 @@ from time import perf_counter
 
 import numpy as np
 
+from .blas import single_thread_blas
+
 __all__ = ["EvalEngine", "EvalHandle", "default_workers"]
 
 #: hot-path phases reported by :meth:`EvalEngine.hotpath_report`
@@ -112,6 +114,7 @@ _WORKER_PROBLEM = None
 def _init_worker(problem) -> None:
     global _WORKER_PROBLEM
     _WORKER_PROBLEM = problem
+    single_thread_blas()
 
 
 def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:

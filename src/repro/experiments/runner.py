@@ -45,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable
 
+from ..core.blas import single_thread_blas
 from ..core.history import OptimizationHistory
 from ..core.study import Study
 
@@ -67,6 +68,7 @@ _POOL_CONTEXT: tuple | None = None
 def _init_pool_worker(context: tuple) -> None:
     global _POOL_CONTEXT
     _POOL_CONTEXT = context
+    single_thread_blas()
 
 
 def _pool_trial(trial: int) -> OptimizationHistory:

@@ -4,6 +4,13 @@ Time stepping is nominally fixed at ``tstep`` but lands exactly on waveform
 breakpoints (pulse edges, PWL corners) and halves the step on Newton
 failures.  The first step after t=0 and after every breakpoint uses backward
 Euler to damp the trapezoidal rule's tendency to ring on discontinuities.
+
+Each trapezoidal step's Newton solve starts from a linear predictor along
+the last accepted step, ``x_n + (dt / dt_prev) * (x_n - x_{n-1})``, which
+saves Newton iterations wherever the waveforms move smoothly; a
+backward-Euler step (the first step, and the restart after each
+breakpoint) starts from ``x_n``.  Both stamping modes take the same
+predicted starts, so the legacy stepper stays the plan's oracle.
 """
 
 from __future__ import annotations
@@ -102,7 +109,10 @@ class _LegacyStepper:
 
 
 class _Trajectory:
-    """One design's step control: time, step size, method and breakpoints."""
+    """One design's step control: time, step size, method and breakpoints.
+
+    ``dt_prev`` is the last accepted step, which scales the predictor.
+    """
 
     def __init__(self, circuit, compiled, x: np.ndarray, tstep: float, tstop: float):
         self.compiled = compiled
@@ -112,6 +122,7 @@ class _Trajectory:
         self.samples = [x.copy()]
         self.t = 0.0
         self.dt = tstep
+        self.dt_prev = tstep
         self.method = "backward_euler"  # first step
         self.hit_bp = False
         self.t_new = 0.0
@@ -146,6 +157,7 @@ class _Trajectory:
 
     def accept(self, x: np.ndarray, tstep: float) -> None:
         self.t = self.t_new
+        self.dt_prev = self.dt
         self.times.append(self.t)
         self.samples.append(x.copy())
         if self.hit_bp:
@@ -224,11 +236,13 @@ def _integrate(runs: list[_Trajectory], tstep: float, tstop: float,
 
     Each round, every unfinished design sizes its own next step, the plan
     bakes all their companions at once, and one lock-step Newton solves
-    them.  Designs that converged advance; the others halve their step (or
-    stall, recording a :class:`ConvergenceError`) and retry next round.
+    them, each trapezoidal step starting from its predicted solution.
+    Designs that converged advance; the others halve their step (or stall,
+    recording a :class:`ConvergenceError`) and retry next round.
     """
     compileds = [run.compiled for run in runs]
     X = np.array([run.samples[0] for run in runs])
+    X_prev = X.copy()  # each design's accepted point before X
     # The plan path bakes the affine (linear + companion) part of each step
     # once — Newton iterations inside a step are then pure vectorized work;
     # the legacy path re-stamps every device per iteration and is kept as the
@@ -248,12 +262,20 @@ def _integrate(runs: list[_Trajectory], tstep: float, tstop: float,
         dts = [run.dt for run in runs]
         methods = [run.method for run in runs]
         stepper.begin_step(state, [run.t_new for run in runs], dts, methods)
+        X0 = X
+        trap = [b for b in stepping if methods[b] == "trapezoidal"]
+        if trap:
+            # Elementwise per row, so a design's start is the same in any batch.
+            ratio = np.array([dts[b] / runs[b].dt_prev for b in trap])[:, None]
+            X0 = X.copy()
+            X0[trap] = X[trap] + ratio * (X[trap] - X_prev[trap])
         # Only stepping systems can converge, so the mask is the accepted set.
-        X_new, accepted, _, _ = newton_batch(stepper.assemble_transient, X, stepping,
+        X_new, accepted, _, _ = newton_batch(stepper.assemble_transient, X0, stepping,
                                              max_iter=max_newton, vlimit=1.0)
         running = [b for b in stepping if accepted[b] or runs[b].reject(dt_min)]
         if np.count_nonzero(accepted):
             stepper.advance(state, X_new, dts, methods, accepted)
             for b in np.flatnonzero(accepted):
+                X_prev[b] = X[b]
                 X[b] = X_new[b]
                 runs[b].accept(X[b], tstep)

@@ -46,13 +46,6 @@ that with:
   orientation; the Meyer capacitances are rows of a per-region table; and
   the source terms of a step are computed once in
   :meth:`StampPlan.begin_step`.
-* **Per-step bias reuse.**  ``advance`` biases the accepted solution
-  (orientation, body effect, smoothed overdrive) for the Meyer capacitances
-  and keeps that bias, keyed on the bytes of the gathered iterate.  The next
-  step's first Newton assembly starts from the same solution, finds the key
-  bitwise equal and skips the bias; an assembly at any other iterate (a
-  later Newton iteration) computes its own.  Only the transient path keeps
-  a bias, so plans that only solve operating points hold none.
 
 **Bit-identity rule for the hot path.**  Every rewrite of this module must
 keep each stamp bit-identical: the same IEEE operations on the same operands
@@ -290,7 +283,6 @@ class _MOSFETBatch(_Batch):
         self._table_flat = self._table.ravel()
         self._table_rows = tuple(self._table[:5])              # views written in place
         self._table_halves = self._table[:5], self._table[5:]
-        self._bias_memo = (None, None)
 
         # Meyer capacitances (cgs, cgd, cgb, cdb, csb) of every device for
         # each region code of :meth:`capacitances`: the piecewise model is
@@ -355,12 +347,7 @@ class _MOSFETBatch(_Batch):
         row 9 and its derivatives are rows (7, 6, 5, 8).  ``table`` is a
         workspace overwritten by the next call.
         """
-        # A transient step's first Newton assembly runs at the solution the
-        # previous step's ``advance`` just biased for the capacitances.
-        key, bias = self._bias_memo
-        if key != xg.tobytes():
-            bias = self._bias(xg)
-        fwd, vds, body, sq, vov, s, vov_eff = bias
+        fwd, vds, body, sq, vov, s, vov_eff = self._bias(xg)
         dvth = np.where(body < 0.05, 0.0, self.half_gamma / sq)
         dvov_eff = 0.5 * (1.0 + vov / s)
 
@@ -399,12 +386,9 @@ class _MOSFETBatch(_Batch):
 
         Needs only the region (overdrive, vds vs vdsat, orientation), so it
         stops after :meth:`_bias` instead of running the full current model
-        and reads each device's row of the baked region table.  The bias is
-        kept, keyed on the bytes of ``xg``, for :meth:`evaluate` to reuse.
+        and reads each device's row of the baked region table.
         """
-        bias = self._bias(xg)
-        self._bias_memo = xg.tobytes(), bias
-        fwd, vds, _, _, vov, _, vdsat = bias
+        fwd, vds, _, _, vov, _, vdsat = self._bias(xg)
         code = (vov < 0.0) * 4 + (vds >= vdsat) * 2 + fwd     # cutoff, saturated, forward
         return self._cap_table[code[:, None] * self._cap_index.size + self._cap_index]
 
