@@ -11,8 +11,12 @@ same data and initial weights:
 * ``fused``: ``Critic.fit`` itself, i.e. ``MLP.fit_mse`` (fused forward,
   fused VJP, one flat Adam update per minibatch, in float32).
 
-Both must end with bit-identical weights and loss; the script fails if they
-do not.
+It times a warm fine-tune the same two ways: ``critic_epochs //
+critic_refresh`` epochs (4 at the defaults) from the weights of a fresh fit,
+which is what 4 of every 5 DNN-Opt model fits are.  Both fits run on one
+OpenBLAS thread, as they do inside an optimizer's modeling block.  Each pair
+must end with bit-identical weights and loss; the script fails if either
+does not.
 
 It also times one critic refresh cycle of whole DNN-Opt modeling iterations
 (pseudo-samples, critic, actor and Eq. 8 selection: ``DNNOpt.ask`` then
@@ -32,10 +36,11 @@ per-iteration anchor measured before the fused kernel.
 
 Results are written to ``BENCH_modeling.json`` (override with ``--out``).
 ``--check BASELINE.json`` turns the run into a regression gate: it fails
-when the measured fused-vs-reference *speedup ratio*, or the refresh cycle's
-fresh-vs-default mean iteration ratio, drops more than 40% below the
-committed baseline's.  Both sides of each ratio run on one host in one
-process, so the ratios are machine-portable where absolute seconds are not.
+when the measured fused-vs-reference *speedup ratio* of the fresh or the
+warm fit, or the refresh cycle's fresh-vs-default mean iteration ratio,
+drops more than 40% below the committed baseline's.  Both sides of each
+ratio run on one host in one process, so the ratios are machine-portable
+where absolute seconds are not.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import numpy as np
 
 from repro.circuits import FoldedCascodeOTA
 from repro.core import Critic, DNNOpt, generate_pseudo_samples
+from repro.core.blas import one_blas_thread
 from repro.nn import Adam
 
 #: fraction of the baseline speedup the measured speedup must retain.
@@ -115,15 +121,54 @@ def reference_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> fl
     return last_loss
 
 
-def time_fit(fit, inputs: np.ndarray, targets: np.ndarray, reps: int):
-    """Best-of-``reps`` seconds for ``fit`` on a fresh critic, plus its result."""
+def warm_epochs() -> int:
+    """Epochs of a DNN-Opt fine-tune at the defaults, as ``DNNOpt`` computes them."""
+    defaults = inspect.signature(DNNOpt).parameters
+    return max(1, defaults["critic_epochs"].default // defaults["critic_refresh"].default)
+
+
+def warm_reference_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
+    critic.epochs = warm_epochs()
+    return reference_fit(critic, inputs, targets)
+
+
+def warm_fused_fit(critic: Critic, inputs: np.ndarray, targets: np.ndarray) -> float:
+    return critic.fit(inputs, targets, epochs=warm_epochs())
+
+
+def time_fit(fit, inputs: np.ndarray, targets: np.ndarray, reps: int, *,
+             warm: bool = False):
+    """Best-of-``reps`` seconds for ``fit`` on a fresh critic (after an
+    untimed fresh ``Critic.fit`` when ``warm``), plus its result."""
     seconds = []
     for _ in range(reps):
         critic = fresh_critic()
-        t0 = perf_counter()
-        loss = fit(critic, inputs, targets)
-        seconds.append(perf_counter() - t0)
+        with one_blas_thread():
+            if warm:
+                critic.fit(inputs, targets)
+            t0 = perf_counter()
+            loss = fit(critic, inputs, targets)
+            seconds.append(perf_counter() - t0)
     return min(seconds), loss, [p.data for p in critic.net.parameters()]
+
+
+def compare_fits(reference, fused, inputs: np.ndarray, targets: np.ndarray, reps: int,
+                 epochs: int, *, warm: bool = False) -> dict:
+    """Time ``reference`` against ``fused`` and check they end bit-identical."""
+    reference_s, reference_loss, reference_weights = time_fit(
+        reference, inputs, targets, reps, warm=warm)
+    fused_s, fused_loss, fused_weights = time_fit(fused, inputs, targets, reps, warm=warm)
+    return {
+        "rows": len(inputs),
+        "epochs": epochs,
+        "reps": reps,
+        "reference_s": reference_s,
+        "fused_s": fused_s,
+        "final_loss": fused_loss,
+        "bit_identical": reference_loss == fused_loss and all(
+            np.array_equal(a, b) for a, b in zip(reference_weights, fused_weights)),
+        "speedup": reference_s / fused_s,
+    }
 
 
 def iteration_archive():
@@ -180,13 +225,14 @@ def time_refresh_cycle(reps: int) -> dict:
 def run(quick: bool) -> dict:
     reps = 2 if quick else 5
     inputs, targets = training_set()
-    print(f"critic fit, {len(inputs)} rows x {fresh_critic().epochs} epochs "
+    epochs = fresh_critic().epochs
+    print(f"critic fit, {len(inputs)} rows x {epochs} epochs "
           f"({reps} reps/path)...", flush=True)
-    reference_s, reference_loss, reference_weights = time_fit(reference_fit, inputs,
-                                                              targets, reps)
-    fused_s, fused_loss, fused_weights = time_fit(Critic.fit, inputs, targets, reps)
-    identical = reference_loss == fused_loss and all(
-        np.array_equal(a, b) for a, b in zip(reference_weights, fused_weights))
+    fit = compare_fits(reference_fit, Critic.fit, inputs, targets, reps, epochs)
+    print(f"warm critic fine-tune, {len(inputs)} rows x {warm_epochs()} epochs "
+          f"({reps} reps/path)...", flush=True)
+    warm = compare_fits(warm_reference_fit, warm_fused_fit, inputs, targets, reps,
+                        warm_epochs(), warm=True)
     print(f"DNN-Opt refresh cycle, folded-cascode, {ITERATION_ARCHIVE}-row archive "
           f"({reps} reps)...", flush=True)
     cycle = time_refresh_cycle(reps)
@@ -196,19 +242,15 @@ def run(quick: bool) -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "metric_note": ("'speedup' (fused vs per-layer reference critic fit on one "
-                        "host) and 'refresh_cycle.speedup' (critic_refresh=1 vs the "
+                        "host), 'warm_fit.speedup' (the same for a warm fine-tune) "
+                        "and 'refresh_cycle.speedup' (critic_refresh=1 vs the "
                         "default mean iteration time) are the machine-portable "
                         "guarded metrics; absolute seconds are host-dependent."),
-        "critic_fit": {
-            "rows": len(inputs),
-            "epochs": fresh_critic().epochs,
-            "reps": reps,
-            "reference_s": reference_s,
-            "fused_s": fused_s,
-            "final_loss": fused_loss,
-        },
-        "bit_identical": identical,
-        "speedup": reference_s / fused_s,
+        "critic_fit": {key: fit[key] for key in
+                       ("rows", "epochs", "reps", "reference_s", "fused_s", "final_loss")},
+        "bit_identical": fit["bit_identical"],
+        "speedup": fit["speedup"],
+        "warm_fit": warm,
         "refresh_cycle": cycle,
     }
 
@@ -218,6 +260,10 @@ def report(results: dict) -> None:
     print(f"  reference: {fit['reference_s']:.3f} s")
     print(f"  fused    : {fit['fused_s']:.3f} s")
     print(f"  speedup: {results['speedup']:.2f}x   bit-identical: {results['bit_identical']}")
+    warm = results["warm_fit"]
+    print(f"  warm fine-tune ({warm['epochs']} epochs): reference {warm['reference_s']:.3f} s, "
+          f"fused {warm['fused_s']:.3f} s, speedup {warm['speedup']:.2f}x   "
+          f"bit-identical: {warm['bit_identical']}")
     cycle = results["refresh_cycle"]
     print(f"  refresh cycle of {cycle['iterations']}: mean iteration "
           f"{cycle['fresh_mean_s']:.3f} s fresh every ask, "
@@ -230,6 +276,7 @@ def check_against(results: dict, baseline_path: Path) -> int:
     failed = False
     for name, base, measured in (
             ("critic_fit", baseline["speedup"], results["speedup"]),
+            ("warm_fit", baseline["warm_fit"]["speedup"], results["warm_fit"]["speedup"]),
             ("refresh_cycle", baseline["refresh_cycle"]["speedup"],
              results["refresh_cycle"]["speedup"])):
         floor = REGRESSION_FLOOR * base
@@ -247,7 +294,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_modeling.json",
                         help="where to write the results JSON")
     parser.add_argument("--check", metavar="BASELINE",
-                        help="fail if either speedup regresses >40%% vs this "
+                        help="fail if any speedup regresses >40%% vs this "
                              "committed baseline JSON")
     args = parser.parse_args(argv)
 
@@ -257,7 +304,7 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\nwrote {out_path}")
 
-    if not results["bit_identical"]:
+    if not (results["bit_identical"] and results["warm_fit"]["bit_identical"]):
         print("fused and reference critic training diverged", file=sys.stderr)
         return 1
     if args.check and check_against(results, Path(args.check)):

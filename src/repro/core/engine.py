@@ -79,7 +79,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .blas import single_thread_blas
+from .blas import openblas_threading, set_blas_threads
 
 __all__ = ["EvalEngine", "EvalHandle", "default_workers"]
 
@@ -114,7 +114,7 @@ _WORKER_PROBLEM = None
 def _init_worker(problem) -> None:
     global _WORKER_PROBLEM
     _WORKER_PROBLEM = problem
-    single_thread_blas()
+    set_blas_threads(1)
 
 
 def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
@@ -725,6 +725,9 @@ class EvalEngine:
                         kwargs = {}
                         if "fork" in mp.get_all_start_methods():
                             kwargs["mp_context"] = mp.get_context("fork")
+                            # Forked workers inherit the resolved functions,
+                            # so _init_worker does not scan for OpenBLAS.
+                            openblas_threading()
                         self._executor = ProcessPoolExecutor(
                             max_workers=self.workers, initializer=_init_worker,
                             initargs=(problem,), **kwargs)

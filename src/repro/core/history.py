@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import time
 from abc import ABC
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .engine import EvalEngine
 from .fom import fom_from_raw
 
@@ -335,9 +337,19 @@ class Optimizer(ABC):
     def _observe(self, x: np.ndarray, f_raw: np.ndarray) -> None:
         """Consume one told result (row already appended to the history)."""
 
-    def timed_modeling(self) -> "_ModelTimer":
-        """Context manager adding elapsed wall-clock to modeling time."""
-        return _ModelTimer(self.history)
+    @contextmanager
+    def timed_modeling(self) -> Iterator[None]:
+        """Context manager adding elapsed wall-clock to modeling time.
+
+        The block runs on one OpenBLAS thread (:func:`repro.core.blas.one_blas_thread`);
+        the previous count is restored on exit, also when the block raises.
+        """
+        start = time.perf_counter()
+        try:
+            with one_blas_thread():
+                yield
+        finally:
+            self.history.modeling_time += time.perf_counter() - start
 
     # -- drivers ------------------------------------------------------------
     def run(self) -> OptimizationHistory:
@@ -345,16 +357,3 @@ class Optimizer(ABC):
         default non-pipelined :class:`repro.core.Study`."""
         from .study import Study
         return Study(self).run()
-
-
-class _ModelTimer:
-    def __init__(self, history: OptimizationHistory) -> None:
-        self.history = history
-
-    def __enter__(self) -> "_ModelTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self.history.modeling_time += time.perf_counter() - self._start
-        return False

@@ -659,8 +659,8 @@ def main(argv=None) -> None:
                              "host:port — override behind NAT)")
     args = parser.parse_args(argv)
 
-    from .blas import single_thread_blas
-    single_thread_blas()
+    from .blas import set_blas_threads
+    set_blas_threads(1)
     server = EvalWorkerServer(args.host, args.port, cache_size=args.cache_size,
                               cache_dir=args.cache_dir)
     print(f"repro-eval-worker listening on {server.address} (pid {os.getpid()})",

@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable
 
-from ..core.blas import single_thread_blas
+from ..core.blas import openblas_threading, set_blas_threads
 from ..core.history import OptimizationHistory
 from ..core.study import Study
 
@@ -68,7 +68,7 @@ _POOL_CONTEXT: tuple | None = None
 def _init_pool_worker(context: tuple) -> None:
     global _POOL_CONTEXT
     _POOL_CONTEXT = context
-    single_thread_blas()
+    set_blas_threads(1)
 
 
 def _pool_trial(trial: int) -> OptimizationHistory:
@@ -181,6 +181,7 @@ def _map_trials(context: tuple, trials, workers: int, *,
                 and "fork" in mp.get_all_start_methods()
                 and not mp.current_process().daemon)
     if use_fork:
+        openblas_threading()  # resolved once here, inherited by every worker
         try:
             pool = mp.get_context("fork").Pool(processes=workers,
                                                initializer=_init_pool_worker,

@@ -208,21 +208,26 @@ class MLP(Module):
 
     def _vjp(self, x: np.ndarray, cache: list[tuple[np.ndarray, np.ndarray]],
              weights: list[np.ndarray], grad: np.ndarray, need: list[bool],
-             need_input: bool) -> tuple[np.ndarray | None, list[np.ndarray | None]]:
+             need_input: bool, out: list[np.ndarray] | None = None,
+             ) -> tuple[np.ndarray | None, list[np.ndarray | None]]:
         """Fused backward pass: ``grad`` w.r.t. the output -> (input, parameter) grads.
 
         Only the parameter gradients flagged in ``need`` are formed; the
-        input gradient is ``None`` unless ``need_input``.
+        input gradient is ``None`` unless ``need_input``.  With ``out`` (one
+        array per parameter, shaped like it), each parameter gradient is
+        written into its array.
         """
+        out = out or [None] * len(weights)
         grads: list[np.ndarray | None] = [None] * len(weights)
         activations = self.layers[1::2]
         for i in reversed(range(len(cache))):
             z, a = cache[i]
             grad = activations[i].vjp(grad, z, a)
             if need[2 * i]:
-                grads[2 * i] = (cache[i - 1][1] if i else x).T @ grad
+                grads[2 * i] = np.matmul((cache[i - 1][1] if i else x).T, grad,
+                                         out=out[2 * i])
             if need[2 * i + 1]:
-                grads[2 * i + 1] = grad.sum(axis=0)
+                grads[2 * i + 1] = np.sum(grad, axis=0, out=out[2 * i + 1])
             if i == 0 and not need_input:
                 return None, grads
             grad = grad @ weights[2 * i].T
@@ -251,41 +256,54 @@ class MLP(Module):
                 batch_size: int, rng: np.random.Generator) -> float:
         """Minibatch Adam on the mean squared error, in float32, without a graph.
 
-        Inputs, targets, the flat parameter vector and the Adam moments are
-        cast to float32 once; the parameters are written back as float64
-        (an exact upcast) at the end.  Each epoch visits the rows in
-        ``rng.permutation`` order, ``batch_size`` at a time.  Per minibatch:
-        fused forward, MSE gradient, fused VJP and one :meth:`Adam.step_flat`
-        over all parameters, with activations kept for that minibatch only.
-        Returns the mean minibatch loss of the last epoch.
+        Inputs, targets and the flat parameter vector are cast to float32
+        once, and the weights are views into that vector, which
+        :meth:`Adam.step_flat` updates in place; the parameters are written
+        back as float64 (an exact upcast) at the end.  Each epoch visits the
+        rows in ``rng.permutation`` order, ``batch_size`` at a time.  Per
+        minibatch: its rows are gathered into fixed buffers, then fused
+        forward, MSE gradient, fused VJP into one flat gradient buffer and
+        one Adam step over all parameters, with activations kept for that
+        minibatch only.  Returns the mean minibatch loss of the last epoch,
+        the only epoch whose loss is computed.
         """
         inputs = np.asarray(inputs, dtype=np.float32)
         targets = np.asarray(targets, dtype=np.float32)
         params = self._weights()
-        # Adam keeps its moments in the dtype of the tensors it is given.
-        optimizer = Adam([Tensor(p.data.astype(np.float32)) for p in params], lr=lr)
-        segments = list(zip(params, optimizer.segments))
-        theta = np.concatenate([p.data.ravel() for p in optimizer.params])
+        theta = np.concatenate([p.data.ravel() for p in params]).astype(np.float32)
+        grad = np.empty_like(theta)
+        optimizer = Adam([Tensor(theta)], lr=lr)  # moments in float32, like theta
+        weights, grads, start = [], [], 0
+        for p in params:
+            weights.append(theta[start:start + p.size].reshape(p.shape))
+            grads.append(grad[start:start + p.size].reshape(p.shape))
+            start += p.size
         need = [True] * len(params)
         n = len(inputs)
         batch = min(batch_size, n)
-        last_loss = np.inf
-        for _ in range(epochs):
+        x_rows = np.empty((batch, inputs.shape[1]), dtype=np.float32)
+        y_rows = np.empty((batch, targets.shape[1]), dtype=np.float32)
+        diff_rows = np.empty_like(y_rows)
+        losses = []
+        for epoch in range(epochs):
             order = rng.permutation(n)
-            losses = []
             for start in range(0, n, batch):
                 rows = order[start:start + batch]
-                x = inputs[rows]
-                weights = [theta[segment].reshape(p.shape) for p, segment in segments]
+                k = len(rows)
+                # The rows are in range; mode="clip" lets take write into
+                # the buffer directly (mode="raise" buffers its output).
+                x = np.take(inputs, rows, axis=0, out=x_rows[:k], mode="clip")
+                y = np.take(targets, rows, axis=0, out=y_rows[:k], mode="clip")
                 cache = self._forward(x, weights)
-                diff = cache[-1][1] - targets[rows]
+                diff = np.subtract(cache[-1][1], y, out=diff_rows[:k])
                 scale = 1.0 / diff.size
-                losses.append(float((diff * diff).sum() * scale))
+                if epoch == epochs - 1:
+                    losses.append(float((diff * diff).sum() * scale))
                 # d(mean(diff * diff)) / d(diff) = 2 * scale * diff.
-                grad = scale * diff
-                _, grads = self._vjp(x, cache, weights, grad + grad, need, False)
-                theta = optimizer.step_flat(theta, np.concatenate([g.ravel() for g in grads]))
-            last_loss = float(np.mean(losses))
-        for param, segment in segments:
-            param.data = theta[segment].reshape(param.shape).astype(np.float64)
-        return last_loss
+                diff *= scale
+                diff += diff
+                self._vjp(x, cache, weights, diff, need, False, out=grads)
+                optimizer.step_flat(theta, grad)
+        for param, weight in zip(params, weights):
+            param.data = weight.astype(np.float64)
+        return float(np.mean(losses)) if losses else np.inf

@@ -132,13 +132,27 @@ def test_one_tape_node_per_call():
     assert list(out._parents[1:]) == mlp.parameters()
 
 
-@pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_fit_mse_matches_tape_training(activation):
-    x = inputs(rows=50)
-    y = np.random.default_rng(3).normal(size=(50, 2))
+#: (activation, dtype of the training arrays, rows); batches are 16 rows, so
+#: 50 rows end on a 2-row minibatch and 9 rows are one short minibatch.
+FIT_CASES = [pytest.param(name, np.float64, 50, id=name) for name in ACTIVATIONS] + [
+    pytest.param("relu", np.float32, 50, id="relu-float32"),
+    pytest.param("tanh", np.float32, 50, id="tanh-float32"),
+    pytest.param("relu", np.float64, 9, id="relu-one-short-batch"),
+    pytest.param("sigmoid", np.float32, 9, id="sigmoid-float32-one-short-batch"),
+]
+
+
+@pytest.mark.parametrize("activation, dtype, rows", FIT_CASES)
+def test_fit_mse_matches_tape_training(activation, dtype, rows):
+    # float32 arrays reach fit_mse uncopied, so they must come back unchanged.
+    x = inputs(rows=rows).astype(dtype)
+    y = np.random.default_rng(3).normal(size=(rows, 2)).astype(dtype)
+    x_before, y_before = x.copy(), y.copy()
     fused, reference = make_mlp(activation), make_mlp(activation)
     kwargs = dict(lr=1e-2, epochs=3, batch_size=16)
     loss = fused.fit_mse(x, y, rng=np.random.default_rng(4), **kwargs)
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(y, y_before)
     expected = reference_fit_mse(reference.parameters(), [activation] * 3, x, y,
                                  rng=np.random.default_rng(4), **kwargs)
     assert loss == expected
