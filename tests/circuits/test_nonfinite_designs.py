@@ -5,17 +5,20 @@ A NaN entry names no design, so it must come back as the problem's
 design space, so it must give exactly the bound design's row.  Both hold
 for ``evaluate``, for ``evaluate_batch`` (where the StrongARM latch runs the
 batch's transients in lock-step, so the NaN design shares its batch with
-healthy ones) and for ``EvalEngine`` on the serial, thread and process
-backends.  Failure rows are cached like any other row: a second engine on
+healthy ones) and for ``EvalEngine`` on the serial, process and remote
+backends and on a fleet tenant's engine.  Failure rows are cached like any other row: a second engine on
 the same ``cache_dir`` answers every design from disk, bit for bit.  A
 merely bad design (a bound corner) must stay distinct from a failure row.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.circuits import CTLE, FoldedCascodeOTA, StrongArmLatch
 from repro.core import EvalEngine
+from repro.core.fleet import FleetCoordinator
 
 
 def _designs(circuit):
@@ -51,14 +54,32 @@ def test_nonfinite_entries_through_evaluate_and_evaluate_batch(cls):
     assert batched.tobytes() == single.tobytes()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@contextmanager
+def _engine(backend, request, cache_dir):
+    """An engine of ``backend``; ``fleet`` is a tenant of a 2-worker fleet."""
+    if backend in ("serial", "process"):
+        with EvalEngine(backend, workers=2, cache_dir=cache_dir) as engine:
+            yield engine
+        return
+    hosts = [s.address for s in request.getfixturevalue("two_local_servers")]
+    if backend == "remote":
+        with EvalEngine("remote", hosts=hosts, cache_dir=cache_dir) as engine:
+            yield engine
+        return
+    with FleetCoordinator(hosts=hosts) as fleet:
+        with fleet.engine("nonfinite", cache_dir=cache_dir) as engine:
+            yield engine
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "remote", "fleet"])
 @pytest.mark.parametrize("cls", [CTLE, StrongArmLatch], ids=lambda cls: cls.__name__)
-def test_nonfinite_entries_through_engine_and_disk_cache(cls, backend, tmp_path):
+def test_nonfinite_entries_through_engine_and_disk_cache(cls, backend, tmp_path,
+                                                         request):
     circuit = cls()
     problem = circuit.problem()
     X = _designs(circuit)
     expected = np.vstack([problem.evaluate(x) for x in X])
-    with EvalEngine(backend, workers=2, cache_dir=tmp_path) as engine:
+    with _engine(backend, request, tmp_path) as engine:
         rows = engine.evaluate_batch(problem, X)
     assert rows.tobytes() == expected.tobytes()
     _check_rows(problem, rows)

@@ -13,6 +13,9 @@ imports the classes — so it lives here rather than in a fixture.
 """
 
 import os
+import threading
+
+import pytest
 
 _SANITIZE = bool(os.environ.get("REPRO_SANITIZE"))
 
@@ -39,3 +42,22 @@ def pytest_sessionfinish(session, exitstatus):
         for p in problems:
             print(f"[sanitize] FAIL: {p}")
         session.exitstatus = 1
+
+
+@pytest.fixture()
+def two_local_servers():
+    """Two in-process evaluation worker servers, closed after the test."""
+    from repro.core import service
+
+    servers, threads = [], []
+    for _ in range(2):
+        server = service.EvalWorkerServer(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append(server)
+        threads.append(thread)
+    yield servers
+    for server in servers:
+        server.close()
+    for thread in threads:
+        thread.join(timeout=5)

@@ -137,22 +137,6 @@ def test_aborted_dispatch_jobs_are_discarded_not_served():
 # ----------------------------------------------------------------------
 # end-to-end: two tenants on two in-process workers + metrics endpoint
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def two_local_servers():
-    servers, threads = [], []
-    for _ in range(2):
-        server = service.EvalWorkerServer(port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append(server)
-        threads.append(thread)
-    yield servers
-    for server in servers:
-        server.close()
-    for thread in threads:
-        thread.join(timeout=5)
-
-
 def test_two_tenants_bit_identical_histories_and_metrics(two_local_servers):
     hosts = [server.address for server in two_local_servers]
     serial_a = RandomSearch(Sphere(3), 20, seed=1).run()

@@ -17,7 +17,6 @@ Load-bearing contracts pinned here:
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ import pytest
 from repro.baselines import RandomSearch
 from repro.circuits import LDORegulator
 from repro.core import EvalEngine, Study
-from repro.core import service
 from repro.core.fleet import FleetCoordinator
 from repro.scenarios import (
     Corner,
@@ -230,22 +228,6 @@ def make_corner_study(engine):
     problem = CornerProblem(ldo_problem(), ScenarioSet.typical(),
                             gate_margin=1.0, gate_warmup=2)
     return Study(RandomSearch(problem, 8, seed=3), engine=engine)
-
-
-@pytest.fixture()
-def two_local_servers():
-    servers, threads = [], []
-    for _ in range(2):
-        server = service.EvalWorkerServer(port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append(server)
-        threads.append(thread)
-    yield servers
-    for server in servers:
-        server.close()
-    for thread in threads:
-        thread.join(timeout=5)
 
 
 def test_corner_fanout_bit_identical_across_backends(two_local_servers):
