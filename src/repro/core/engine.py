@@ -4,11 +4,10 @@ Every optimizer in this package funnels its simulator queries through an
 :class:`EvalEngine`.  The engine owns two orthogonal concerns:
 
 * **dispatch** — how a batch of designs is turned into performance rows.
-  Four backends are provided: ``serial`` (in-process loop, the default),
-  ``thread`` (a :class:`~concurrent.futures.ThreadPoolExecutor`; useful when
-  the simulator releases the GIL or blocks on I/O), ``process`` (a process
-  pool; true CPU parallelism for the pure-python SPICE engine), and
-  ``remote`` (a private, single-tenant
+  Three backends are provided, one per kind of work: ``serial``
+  (in-process loop, the default), ``process`` (one warm process pool that
+  serves every problem; true CPU parallelism for the pure-python SPICE
+  engine), and ``remote`` (a private, single-tenant
   :class:`~repro.core.fleet.FleetCoordinator` pinned to worker server
   processes on one or many hosts, speaking the length-prefixed JSON socket
   protocol of :mod:`repro.core.service`).
@@ -52,15 +51,19 @@ without wasting simulations.
 
 Problems are identified by a *content fingerprint* (a hash of their pickle)
 rather than object identity: two fresh-but-identical instances — the
-``problem_factory()``-per-trial pattern — share cache entries and, for the
-``process`` backend, share the warm worker pool instead of tearing it down
-every trial.  The engine holds only weak references to live problems, so a
-long-lived engine never keeps dropped problems alive.
+``problem_factory()``-per-trial pattern — share cache entries.  The engine
+holds only weak references to live problems, so a long-lived engine never
+keeps dropped problems alive.
 
-The process backend inherits the problem object through ``fork`` when the
-platform supports it (no pickling of the problem per task); elsewhere the
-problem is shipped to workers via the pool initializer, which requires it to
-be picklable.  All bundled problems (synthetic suite and circuit sizing
+The process pool is not bound to a problem.  Each chunk task carries the
+problem's fingerprint and the pickle it was computed from, and every worker
+keeps an LRU table of unpickled problems by fingerprint (bounded by
+:data:`MAX_PROBLEMS`, like a service worker's ``put_problem`` table), so
+concurrent dispatches for different problems — the corner variants of a
+PVT fan-out, successive trials, several studies on one engine — share one
+warm pool.  The process backend therefore needs a picklable problem, as
+the remote backend does; an unpicklable one raises ``TypeError`` at
+dispatch.  All bundled problems (synthetic suite and circuit sizing
 problems) are plain-data objects and pickle cleanly.
 """
 
@@ -74,7 +77,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import (CancelledError, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
-from itertools import count
+from itertools import count, repeat
 from time import perf_counter
 
 import numpy as np
@@ -104,29 +107,40 @@ def _spice_counters():
     from repro.spice import profile
     return profile
 
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 
-# Problem handed to process-pool workers through the initializer (or, under
-# fork, inherited directly from the parent's memory at pool creation).
-_WORKER_PROBLEM = None
+#: problems a pool worker keeps unpickled, least recently used evicted first
+#: (a service worker's ``put_problem`` table has the same bound)
+MAX_PROBLEMS = 32
+
+# A pool worker's unpickled problems, keyed by fingerprint token.
+_WORKER_PROBLEMS: OrderedDict[bytes, object] = OrderedDict()
 
 
-def _init_worker(problem) -> None:
-    global _WORKER_PROBLEM
-    _WORKER_PROBLEM = problem
+def _init_worker() -> None:
     set_blas_threads(1)
 
 
-def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """Process-pool task: evaluate a chunk of designs against the bound problem.
+def _eval_chunk(token: bytes, blob: bytes,
+                X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+    """Process-pool task: evaluate a chunk of designs against the problem
+    that ``blob`` pickles (unpickled once per worker, then looked up by
+    ``token``).
 
     Returns the rows *and* the worker-side hot-path counter deltas for the
     chunk, so the parent engine's :meth:`EvalEngine.hotpath_report` reflects
     work done inside the pool.
     """
+    problem = _WORKER_PROBLEMS.get(token)
+    if problem is None:
+        problem = _WORKER_PROBLEMS[token] = pickle.loads(blob)
+        while len(_WORKER_PROBLEMS) > MAX_PROBLEMS:
+            _WORKER_PROBLEMS.popitem(last=False)
+    else:
+        _WORKER_PROBLEMS.move_to_end(token)
     profile = _spice_counters()
     before = profile.snapshot()
-    rows = _WORKER_PROBLEM.evaluate_batch(X)
+    rows = problem.evaluate_batch(X)
     return rows, {name: value for name, value in profile.delta(before).items()
                   if value}
 
@@ -167,7 +181,7 @@ class EvalEngine:
     Parameters
     ----------
     backend:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"remote"``.
+        ``"serial"`` | ``"process"`` | ``"remote"``.
     workers:
         Pool size for the parallel backends (default: visible CPU count).
     cache_size:
@@ -256,18 +270,19 @@ class EvalEngine:
             from .diskcache import DiskCache
             self._disk = DiskCache(self.cache_dir)
         # Problem identity: content-fingerprint tokens held behind weakrefs.
-        # ``_problem_tokens`` maps a *live* instance's id() to its token; the
-        # paired weakref callback removes the entry when the instance dies,
-        # so a recycled id can never alias a stale token and the engine never
-        # pins dropped problems in memory.  Unpicklable problems fall back to
-        # a unique anonymous token (and, if also un-weakref-able, a strong
-        # pin — the pre-fingerprint behaviour).
+        # ``_problem_tokens`` maps a *live* instance's id() to its token and
+        # ``_problem_blobs`` to the pickle the token hashes (what process
+        # pool tasks ship); the paired weakref callback removes both when
+        # the instance dies, so a recycled id can never alias a stale token
+        # and the engine never pins dropped problems in memory.  Unpicklable
+        # problems fall back to a unique anonymous token and no blob (and,
+        # if also un-weakref-able, a strong pin).
         self._problem_tokens: dict[int, bytes] = {}   # guarded by: _state_lock
+        self._problem_blobs: dict[int, bytes] = {}    # guarded by: _state_lock
         self._problem_wrefs: dict[int, weakref.ref] = {}  # guarded by: _state_lock
         self._problem_pins: dict[int, object] = {}    # guarded by: _state_lock
         self._anon_tokens = count()
-        self._executor = None          # guarded by: _state_lock
-        self._executor_token: bytes | None = None  # pool's problem; guarded by: _state_lock
+        self._executor = None          # process pool; guarded by: _state_lock
         self._remote = dispatcher      # guarded by: _state_lock
         # Non-blocking submit/gather machinery: a small thread pool runs the
         # dispatches, ``_inflight`` maps each pending design's cache key to
@@ -324,28 +339,15 @@ class EvalEngine:
             submit.shutdown(wait=True, cancel_futures=True)
             with self._state_lock:
                 self._inflight.clear()
+        # The process pool goes last, after the dispatch threads that use
+        # it; it is joined with the lock released, like the submit pool, so
+        # no concurrent counter fold stalls behind the join (RP07).
         with self._state_lock:
-            stale = self._retire_worker_pool_locked()
-        if stale is not None:
-            stale.shutdown(wait=True)
+            pool, self._executor = self._executor, None
+        if pool is not None:
+            pool.shutdown(wait=True)
         if self._disk is not None:
             self._disk.close()
-
-    def _retire_worker_pool_locked(self):  # holds: _state_lock
-        """Detach the thread/process worker pool; the caller shuts it down.
-
-        Separate from :meth:`close` because a problem switch under the
-        process backend retires the old pool from *inside* a submit-pool
-        dispatch thread — which must never try to shut down (and join) the
-        submit pool it is running on.  The swap happens under
-        ``_state_lock`` so concurrent callers agree on one owner, but the
-        blocking ``shutdown(wait=True)`` (a pool join) is the caller's job
-        *after releasing the lock* — holding the hot state lock across a
-        join stalls every concurrent dispatch/counter fold (RP07).
-        """
-        stale, self._executor = self._executor, None
-        self._executor_token = None
-        return stale
 
     def clear_cache(self) -> None:
         """Drop every in-memory cache entry (thread-safe).
@@ -453,7 +455,8 @@ class EvalEngine:
         batch, ``(future, run args)`` for the caller to run; otherwise the
         run is queued on the submit pool."""
         X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        token = self._problem_token(problem)
+        with self._state_lock:
+            token, blob = self._problem_identity_locked(problem)
         keys = [self._key(token, x) for x in X]
         resolved: dict[bytes, np.ndarray] = {}
         waits: dict[bytes, Future] = {}
@@ -479,7 +482,7 @@ class EvalEngine:
                 if self._closed:
                     raise RuntimeError("EvalEngine is closed")
                 batch = (problem, np.asarray(list(pending.values())), token,
-                         tuple(pending))
+                         blob, tuple(pending))
                 if inline:
                     future: Future = Future()
                     future.set_running_or_notify_cancel()
@@ -491,7 +494,7 @@ class EvalEngine:
                     waits[key] = future
         return EvalHandle(keys, resolved, waits), inline_run
 
-    def _run(self, problem, X: np.ndarray, token: bytes,
+    def _run(self, problem, X: np.ndarray, token: bytes, blob: bytes | None,
              keys: tuple[bytes, ...]) -> dict[bytes, np.ndarray]:
         """Run body of both entry points: dispatch a resolved batch's misses,
         fold the workers' and this process's simulator counters into
@@ -501,7 +504,7 @@ class EvalEngine:
         before = profile.snapshot()
         t0 = perf_counter()
         try:
-            fresh, worker_counters = self._dispatch(problem, X, token)
+            fresh, worker_counters = self._dispatch(problem, X, token, blob)
         except BaseException:
             with self._state_lock:
                 for key in keys:
@@ -537,18 +540,23 @@ class EvalEngine:
         while being evaluated.
         """
         with self._state_lock:
-            return self._problem_token_locked(problem)
+            return self._problem_identity_locked(problem)[0]
 
-    def _problem_token_locked(self, problem) -> bytes:  # holds: _state_lock
+    def _problem_identity_locked(self, problem):  # holds: _state_lock
+        """``(token, pickle)`` of a problem, memoized per live instance; the
+        pickle is ``None`` for an unpicklable problem."""
         # id() only keys the per-live-instance memo; the cache key that
         # reaches results is the content fingerprint below, which is stable
         # across runs.  # lint: disable=RP01
         pid = id(problem)
         token = self._problem_tokens.get(pid)
         if token is not None:
-            return token
-        token = self._fingerprint(problem)
-        if token is None:
+            return token, self._problem_blobs.get(pid)
+        blob = self._pickled(problem)
+        if blob is not None:
+            token = hashlib.blake2b(blob, digest_size=16).digest()
+            self._problem_blobs[pid] = blob
+        else:
             # Unpicklable problem: no content identity.  The random suffix
             # keeps two engines' (or processes') anonymous tokens from ever
             # colliding; anonymous keys are additionally kept out of the
@@ -557,11 +565,12 @@ class EvalEngine:
             # unpicklable problems answer each other's designs from disk.
             token = b"anon:%d:" % next(self._anon_tokens) + os.urandom(8)
         self._problem_tokens[pid] = token
-        tokens, wrefs, pins = (self._problem_tokens, self._problem_wrefs,
-                               self._problem_pins)
+        tokens, blobs, wrefs, pins = (self._problem_tokens, self._problem_blobs,
+                                      self._problem_wrefs, self._problem_pins)
 
         def _forget(_ref, pid=pid) -> None:
             tokens.pop(pid, None)
+            blobs.pop(pid, None)
             wrefs.pop(pid, None)
 
         try:
@@ -570,15 +579,19 @@ class EvalEngine:
             # Not weakref-able (e.g. __slots__ without __weakref__): pin it
             # so the id stays unique for the engine's lifetime.
             pins[pid] = problem
-        return token
+        return token, blob
 
     @staticmethod
-    def _fingerprint(problem) -> bytes | None:
+    def _pickled(problem) -> bytes | None:
         try:
-            blob = pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return None
-        return hashlib.blake2b(blob, digest_size=16).digest()
+
+    @classmethod
+    def _fingerprint(cls, problem) -> bytes | None:
+        blob = cls._pickled(problem)
+        return None if blob is None else hashlib.blake2b(blob, digest_size=16).digest()
 
     @staticmethod
     def _durable(problem_token: bytes) -> bool:
@@ -645,7 +658,7 @@ class EvalEngine:
             return 0
         added = 0
         with self._state_lock:
-            token = self._problem_token_locked(problem)
+            token = self._problem_identity_locked(problem)[0]
             durable = self._durable(token)
             for x, row in zip(X, F):
                 key = self._key(token, x)
@@ -657,88 +670,54 @@ class EvalEngine:
         return added
 
     # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, problem, X: np.ndarray,
-                  token: bytes) -> tuple[np.ndarray, list[dict[str, float]]]:
+    def _dispatch(self, problem, X: np.ndarray, token: bytes, blob: bytes | None
+                  ) -> tuple[np.ndarray, list[dict[str, float]]]:
         """Rows for ``X``, plus the simulator counter deltas measured where
         the simulation ran outside this process (one dict per pool chunk
-        or remote reply; empty when it all ran here)."""
+        or remote reply; empty when it all ran here).  ``blob`` is the
+        problem's pickle, which process pool tasks carry."""
         if self.backend == "remote":
             rows, counters, n_sims = self._remote_dispatcher().dispatch(
                 problem, token, X)
             with self._state_lock:
                 self.worker_sim_calls += n_sims
             return rows, [counters]
+        if self.backend == "process" and blob is None:
+            raise TypeError(
+                f"process backend requires a picklable problem "
+                f"({type(problem).__name__} failed to pickle)")
         if self.backend == "serial" or len(X) == 1:
             return problem.evaluate_batch(X), []
-        chunks = np.array_split(X, min(len(X), self.workers))
-        chunks = [c for c in chunks if len(c)]
-        if self.backend == "thread":
-            executor = self._thread_executor()
-            return np.vstack(list(executor.map(problem.evaluate_batch, chunks))), []
         import multiprocessing as mp
         if mp.current_process().daemon:
             # Daemonic contexts (e.g. fork-pool trial workers) cannot spawn
             # pool children; degrade to the serial loop, same as the trial
             # runner's own fallback.  Results are unchanged either way.
             return problem.evaluate_batch(X), []
-        while True:
-            executor = self._process_executor(problem, token)
-            try:
-                results = executor.map(_eval_chunk, chunks)
-                break
-            except RuntimeError:
-                # The pool binds one problem, so a concurrent dispatch for
-                # another problem (a corner variant, say) may retire it
-                # between the lookup and map().  Retry on the current pool;
-                # chunks already queued on the retired one run to completion
-                # and are simply not collected.
-                with self._state_lock:
-                    if self._closed or self._executor is executor:
-                        raise
-        results = list(results)
+        chunks = [c for c in np.array_split(X, min(len(X), self.workers)) if len(c)]
+        results = list(self._process_executor().map(
+            _eval_chunk, repeat(token), repeat(blob), chunks))
         return (np.vstack([rows for rows, _ in results]),
                 [deltas for _, deltas in results])
 
-    def _thread_executor(self) -> ThreadPoolExecutor:
+    def _process_executor(self) -> ProcessPoolExecutor:
+        # Locked so overlapping submit() dispatch threads agree on one pool;
+        # a closed engine builds none (close() would never join it).
         with self._state_lock:
+            if self._closed:
+                raise RuntimeError("EvalEngine is closed")
             if self._executor is None:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
+                import multiprocessing as mp
+                kwargs = {}
+                if "fork" in mp.get_all_start_methods():
+                    kwargs["mp_context"] = mp.get_context("fork")
+                    # Forked workers inherit the resolved functions, so
+                    # _init_worker does not scan for OpenBLAS.
+                    openblas_threading()
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_init_worker, **kwargs)
+                self.n_pool_builds += 1
             return self._executor
-
-    def _process_executor(self, problem, token: bytes) -> ProcessPoolExecutor:
-        # The pool binds one problem (via fork inheritance or initializer).
-        # Rebuild only when the *content* changes: fresh-but-identical
-        # instances (the problem_factory()-per-trial pattern) keep the warm
-        # pool, whose bound copy evaluates identically.  Locked so
-        # overlapping submit() dispatch threads agree on one pool, and
-        # retiring only the worker pool (never the submit pool this thread
-        # may be running on).
-        while True:
-            with self._state_lock:
-                stale = None
-                if (self._executor is not None
-                        and self._executor_token != token):
-                    stale = self._retire_worker_pool_locked()
-                if stale is None:
-                    if self._executor is None:
-                        import multiprocessing as mp
-                        kwargs = {}
-                        if "fork" in mp.get_all_start_methods():
-                            kwargs["mp_context"] = mp.get_context("fork")
-                            # Forked workers inherit the resolved functions,
-                            # so _init_worker does not scan for OpenBLAS.
-                            openblas_threading()
-                        self._executor = ProcessPoolExecutor(
-                            max_workers=self.workers, initializer=_init_worker,
-                            initargs=(problem,), **kwargs)
-                        self._executor_token = token
-                        self.n_pool_builds += 1
-                    return self._executor
-            # The retired pool joins its workers outside the lock (RP07):
-            # a concurrent dispatch thread folding per-chunk counters must
-            # not stall behind the old pool's shutdown.  Loop to re-check —
-            # another thread may have built the new pool meanwhile.
-            stale.shutdown(wait=True)
 
     def _remote_dispatcher(self):
         with self._state_lock:

@@ -109,6 +109,8 @@ from queue import Empty, SimpleQueue
 
 import numpy as np
 
+from .engine import MAX_PROBLEMS
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
@@ -380,7 +382,7 @@ class EvalWorkerServer:
 
     #: installed problems kept per worker (LRU); coordinators re-ship on a
     #: ``need_problem`` reply, so eviction is safe for long-lived shards.
-    MAX_PROBLEMS = 32
+    MAX_PROBLEMS = MAX_PROBLEMS
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  cache_size: int = 100_000, cache_dir=None):

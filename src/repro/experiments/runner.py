@@ -31,7 +31,7 @@ targets an already-running evaluation service (see
 Every trial is driven by a :class:`~repro.core.Study` (the ask/tell
 driver); ``pipeline_depth > 1`` turns on pipelined dispatch inside each
 trial, overlapping the optimizer's proposal generation with in-flight
-evaluations on the thread/remote backends.  Pipelined proposals condition
+evaluations on the process/remote backends.  Pipelined proposals condition
 on a slightly stale archive, so unlike ``workers``/``engine_factory`` this
 knob *may* change trajectories of adaptive optimizers — leave it at 1 for
 paper-protocol reproduction runs.
@@ -106,8 +106,11 @@ def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],
     come back in trial order and are identical to a serial run.
     ``engine_factory`` builds a per-trial :class:`~repro.core.EvalEngine`
     (e.g. pointing at a running evaluation service) that is attached to the
-    optimizer and closed after its trial.  ``pipeline_depth > 1`` pipelines
-    each trial's proposal/evaluation loop (see :class:`~repro.core.Study`).
+    optimizer and closed after its trial.  A ``process`` engine inside forked
+    trial workers (which are daemonic) evaluates in-process, with the same
+    rows; elsewhere it starts its own pool.  Either way the problem must
+    pickle.  ``pipeline_depth > 1`` pipelines each trial's
+    proposal/evaluation loop (see :class:`~repro.core.Study`).
 
     ``warm_start`` is a :class:`~repro.core.WarmStart` applied to *every*
     trial (each trial maps/tells the donor archive independently — the

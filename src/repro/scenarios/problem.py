@@ -15,7 +15,7 @@ each variant as an ordinary engine batch, so per-corner evaluations share
 the cache/dedup/disk tiers (under the *variant's own* content fingerprint
 — corners never alias) and parallelize across whatever backend or fleet
 the engine is configured with.  Aggregation order is fixed, so histories
-are bit-identical across serial, thread, process and fleet backends.
+are bit-identical across the serial, process and fleet backends.
 
 Adaptive gating evaluates the cheap first variant (nominal) for every
 design and fans the remaining variants out only when the nominal FoM is

@@ -30,8 +30,8 @@ GROUND_NAMES = frozenset({"0", "gnd", "GND", "vss!", "ground"})
 _CONDUCTIVE = (Resistor, VoltageSource, Inductor, Diode, VCVS, CCVS)
 
 # Thread-local compile-time transform (see ``circuit_transform``).  Thread-
-# local rather than global so concurrent evaluations on the thread backend
-# can each apply a *different* scenario without interfering.
+# local rather than global so concurrent evaluations on the engine's submit
+# threads can each apply a *different* scenario without interfering.
 _TRANSFORM_STATE = threading.local()
 
 

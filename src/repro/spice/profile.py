@@ -12,8 +12,9 @@ caller measure just its own window of activity; counts accumulated inside
 
 These are best-effort diagnostics, not ledgers: the table is process-global
 and updates are plain ``+=`` (no lock — a lock would tax every Newton
-iteration).  When several threads simulate concurrently (the engine's
-``thread`` backend, or thread-pool trial fallbacks), one caller's
+iteration).  When several threads simulate concurrently (overlapping
+``submit`` batches on the engine's ``serial`` backend, or thread-pool trial
+fallbacks), one caller's
 snapshot/delta window also captures the other threads' work and racing
 increments can be lost, so per-engine phase splits are only faithful for
 single-threaded dispatch.

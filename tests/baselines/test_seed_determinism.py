@@ -64,11 +64,11 @@ def test_constrained_trajectory_reproducible(name, factory):
 
 @pytest.mark.parametrize("name,factory", ALL_OPTIMIZERS[:5], ids=[n for n, _ in ALL_OPTIMIZERS[:5]])
 def test_engine_backend_does_not_change_trajectory(name, factory):
-    """Baselines run through a thread-pool engine keep their exact trajectory."""
+    """Baselines run through a process-pool engine keep their exact trajectory."""
     serial = factory(Sphere(2), 15, 8).run()
-    with EvalEngine("thread", workers=2) as engine:
+    with EvalEngine("process", workers=2) as engine:
         optimizer = factory(Sphere(2), 15, 8)
         optimizer.engine = engine
-        with_threads = optimizer.run()
-    np.testing.assert_array_equal(serial.fom, with_threads.fom)
-    np.testing.assert_array_equal(serial.X, with_threads.X)
+        with_pool = optimizer.run()
+    np.testing.assert_array_equal(serial.fom, with_pool.fom)
+    np.testing.assert_array_equal(serial.X, with_pool.X)

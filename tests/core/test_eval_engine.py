@@ -12,7 +12,19 @@ from repro.baselines import RandomSearch
 from repro.core import DNNOpt, EvalEngine, default_workers
 from repro.problems import ConstrainedSphere, Sphere
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process", "remote"]
+
+
+@pytest.fixture()
+def make_engine(request):
+    """``make_engine(backend, workers)``; ``remote`` runs on two local
+    worker servers."""
+    def make(backend, workers):
+        if backend == "remote":
+            servers = request.getfixturevalue("two_local_servers")
+            return EvalEngine("remote", hosts=[s.address for s in servers])
+        return EvalEngine(backend, workers=workers)
+    return make
 
 
 class CountingSphere(Sphere):
@@ -39,20 +51,20 @@ def small_dnnopt(problem, budget, seed, engine=None, **kw):
 # Engine-level behaviour
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_matches_direct_evaluation(backend):
+def test_batch_matches_direct_evaluation(backend, make_engine):
     problem = Sphere(4)
     rng = np.random.default_rng(0)
     X = problem.space.sample(rng, 13)
     expected = problem.evaluate_batch(X)
-    with EvalEngine(backend, workers=3) as engine:
+    with make_engine(backend, 3) as engine:
         np.testing.assert_array_equal(engine.evaluate_batch(problem, X), expected)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_rows_returned_in_input_order(backend):
+def test_rows_returned_in_input_order(backend, make_engine):
     problem = Sphere(2)
     X = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-    with EvalEngine(backend, workers=2) as engine:
+    with make_engine(backend, 2) as engine:
         F = engine.evaluate_batch(problem, X)
     np.testing.assert_allclose(F[:, 0], (X ** 2).sum(axis=1))
 
@@ -145,7 +157,7 @@ def test_cache_lru_hit_refreshes_recency_in_mixed_batches():
 
 
 # ----------------------------------------------------------------------
-# Problem identity: weakref tokens, content fingerprints, pool reuse
+# Problem identity: weakref tokens, content fingerprints, one shared pool
 # ----------------------------------------------------------------------
 def test_dropped_problem_is_collectable():
     import gc
@@ -190,23 +202,23 @@ def test_cache_shared_across_identical_problem_instances():
 
 
 def test_process_pool_reused_across_identical_problem_instances():
+    # One warm pool serves fresh-but-identical instances (the
+    # problem_factory()-per-trial pattern) and different problems alike.
     rng = np.random.default_rng(0)
     with EvalEngine("process", workers=2, cache_size=0) as engine:
         for _ in range(3):
             problem = ConstrainedSphere(2)
             engine.evaluate_batch(problem, problem.space.sample(rng, 4))
-        assert engine.n_pool_builds == 1  # warm pool survives fresh instances
         other = Sphere(3)
-        engine.evaluate_batch(other, other.space.sample(rng, 4))
-        assert engine.n_pool_builds == 2  # different content -> rebuild
+        X = other.space.sample(rng, 4)
+        np.testing.assert_array_equal(engine.evaluate_batch(other, X),
+                                      other.evaluate_batch(X))
+        assert engine.n_pool_builds == 1
 
 
 def test_overlapping_dispatches_for_different_problems_on_process_pool():
-    # The pool binds one problem, so overlapping dispatches for different
-    # problems (corner variants of a fan-out, say) retire and rebuild it
-    # under each other.  A dispatch whose pool was retired before it queued
-    # its chunks must retry on the current pool, not fail with "cannot
-    # schedule new futures after shutdown".
+    # Overlapping dispatches for different problems (corner variants of a
+    # fan-out, say) share the one pool: each chunk carries its problem.
     problems = [Sphere(2 + i) for i in range(4)]
     rng = np.random.default_rng(0)
     batches = [problem.space.sample(rng, 4) for problem in problems]
@@ -216,6 +228,23 @@ def test_overlapping_dispatches_for_different_problems_on_process_pool():
             handles = [engine.submit(p, X) for p, X in zip(problems, batches)]
             for handle, rows in zip(handles, expected):
                 np.testing.assert_array_equal(engine.gather(handle), rows)
+        assert engine.n_pool_builds == 1
+
+
+def test_process_backend_rejects_unpicklable_problem():
+    # Pool tasks carry the problem's pickle, so an unpicklable problem is
+    # refused at dispatch rather than silently evaluated some other way.
+    class LocalSphere(Sphere):  # a class local to a function does not pickle
+        pass
+
+    problem = LocalSphere(2)
+    X = problem.space.sample(np.random.default_rng(0), 4)
+    with EvalEngine("process", workers=2) as engine:
+        for n in (1, len(X)):
+            with pytest.raises(TypeError, match="picklable"):
+                engine.evaluate_batch(problem, X[:n])
+        assert engine.n_pool_builds == 0
+        assert engine.n_sim_calls == 0
 
 
 def test_hotpath_report_nonzero_under_process_backend():
@@ -236,9 +265,11 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         EvalEngine("gpu")
     with pytest.raises(ValueError):
-        EvalEngine("async")  # removed backend: thread covers it
+        EvalEngine("async")  # removed backend
     with pytest.raises(ValueError):
-        EvalEngine("thread", workers=0)
+        EvalEngine("thread")  # removed backend: process covers it
+    with pytest.raises(ValueError):
+        EvalEngine("process", workers=0)
     with pytest.raises(ValueError):
         EvalEngine("serial", cache_size=-1)
 
@@ -250,10 +281,10 @@ def test_default_workers_positive():
 # ----------------------------------------------------------------------
 # Optimizer wiring: histories are backend-independent, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_random_search_history_bit_identical(backend):
+@pytest.mark.parametrize("backend", ["process", "remote"])
+def test_random_search_history_bit_identical(backend, make_engine):
     serial = RandomSearch(Sphere(3), 20, seed=5).run()
-    with EvalEngine(backend, workers=3) as engine:
+    with make_engine(backend, 3) as engine:
         parallel = RandomSearch(Sphere(3), 20, seed=5, engine=engine).run()
     np.testing.assert_array_equal(serial.X, parallel.X)
     np.testing.assert_array_equal(serial.F, parallel.F)
@@ -261,11 +292,11 @@ def test_random_search_history_bit_identical(backend):
     np.testing.assert_array_equal(serial.feasible, parallel.feasible)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_batched_dnnopt_history_bit_identical(backend):
+@pytest.mark.parametrize("backend", ["process", "remote"])
+def test_batched_dnnopt_history_bit_identical(backend, make_engine):
     problem_factory = lambda: ConstrainedSphere(3)
     serial = small_dnnopt(problem_factory(), 18, seed=7, batch_size=3).run()
-    with EvalEngine(backend, workers=2) as engine:
+    with make_engine(backend, 2) as engine:
         parallel = small_dnnopt(problem_factory(), 18, seed=7, batch_size=3,
                                 engine=engine).run()
     np.testing.assert_array_equal(serial.X, parallel.X)
@@ -358,14 +389,14 @@ def test_seed_cache_answers_without_simulation():
 # ----------------------------------------------------------------------
 # close() vs. in-flight submit(): raise, never hang
 # ----------------------------------------------------------------------
-def test_submit_after_close_raises():
+def test_submit_after_close_raises(make_engine):
     # Both entry points share the closed-engine check on every backend: a
     # batch of fresh designs raises, and no pool is built to outlive close().
     problem = Sphere(2)
     rng = np.random.default_rng(0)
     for entry in ("submit", "evaluate_batch"):
         for backend in BACKENDS:
-            engine = EvalEngine(backend, workers=2)
+            engine = make_engine(backend, 2)
             engine.evaluate_batch(problem, problem.space.sample(rng, 2))
             engine.close()
             builds = engine.n_pool_builds

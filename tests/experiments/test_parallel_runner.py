@@ -103,7 +103,7 @@ def test_engine_factory_leaves_histories_unchanged():
     kwargs = dict(budget=12, n_trials=3, base_seed=7)
     base = run_trials(factory, lambda: Sphere(3), workers=1, **kwargs)
     for engine_factory in (lambda: EvalEngine("serial"),
-                           lambda: EvalEngine("thread", workers=2)):
+                           lambda: EvalEngine("process", workers=2)):
         for workers in (1, 3):
             got = run_trials(factory, lambda: Sphere(3), workers=workers,
                              engine_factory=engine_factory, **kwargs)

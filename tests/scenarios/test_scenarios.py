@@ -8,7 +8,8 @@ Load-bearing contracts pinned here:
   cache/dedup/disk entries (distinct content fingerprints), while the same
   corner re-fingerprints identically in a separate interpreter;
 * corner fan-out through ``EvalEngine.submit``/``gather`` is bit-identical
-  across the serial, thread and fleet backends;
+  across the serial, process and fleet backends, and every corner variant
+  runs on the one warm process pool;
 * seeded mismatch Monte Carlo is reproducible (same seed → same rows);
 * adaptive-gating decisions derive only from told rows, so a checkpoint
   resume replays them exactly (bit-identical finished history).
@@ -235,8 +236,8 @@ def test_corner_fanout_bit_identical_across_backends(two_local_servers):
     assert reference.n_evals == 8
 
     backends = {}
-    with EvalEngine("thread", workers=4) as engine:
-        backends["thread"] = make_corner_study(engine).run()
+    with EvalEngine("process", workers=4) as engine:
+        backends["process"] = make_corner_study(engine).run()
     hosts = [server.address for server in two_local_servers]
     with FleetCoordinator(hosts=hosts) as fleet:
         engine = fleet.engine("corner-study")
@@ -246,6 +247,24 @@ def test_corner_fanout_bit_identical_across_backends(two_local_servers):
     for name, history in backends.items():
         np.testing.assert_array_equal(reference.X, history.X, err_msg=name)
         np.testing.assert_array_equal(reference.F, history.F, err_msg=name)
+
+
+def test_corner_study_on_process_builds_one_pool():
+    # Every corner variant is a different problem, and all of them share
+    # the one warm pool: a multi-batch corner Study builds it exactly once,
+    # and its rows are bitwise the serial rows.
+    def run(engine):
+        problem = CornerProblem(ldo_problem(), ScenarioSet.typical())
+        return Study(RandomSearch(problem, 8, seed=4), engine=engine,
+                     ask_size=4).run()
+
+    serial = run(None)
+    with EvalEngine("process", workers=2) as engine:
+        pooled = run(engine)
+        assert engine.n_pool_builds == 1
+        assert engine.n_sim_calls == 8 * len(ScenarioSet.typical())
+    assert pooled.X.tobytes() == serial.X.tobytes()
+    assert pooled.F.tobytes() == serial.F.tobytes()
 
 
 def test_folded_cascode_fleet_fanout_matches_serial(two_local_servers):

@@ -99,7 +99,7 @@ problem = Sphere(4)
 rng = np.random.default_rng(0)
 X = problem.space.sample(rng, 8)
 with tempfile.TemporaryDirectory() as d:
-    with EvalEngine("thread", workers=2, cache_dir=d) as engine:
+    with EvalEngine("process", workers=2, cache_dir=d) as engine:
         engine.evaluate_batch(problem, X)
         engine.evaluate_batch(problem, X)   # cache-hit pass
 print(json.dumps({
@@ -185,7 +185,7 @@ from repro.problems import Sphere
 problem = Sphere(3)
 X = problem.space.sample(np.random.default_rng(1), 5)
 expected = problem.evaluate_batch(X)
-with EvalEngine("thread", workers=2) as engine:
+with EvalEngine("process", workers=2) as engine:
     np.testing.assert_array_equal(engine.evaluate_batch(problem, X), expected)
     assert isinstance(engine._state_lock, sanitize.SanitizedLock)
 print("OK")
