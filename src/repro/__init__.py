@@ -27,8 +27,7 @@ checkpoint/resume and pipelined dispatch.  ``optimizer.run()`` remains as
 a shim for the one-liner above.
 """
 
-from .core import (BudgetExhausted, DNNOpt, OptimizationHistory, Optimizer,
-                   Study, WarmStart)
+from .core import DNNOpt, OptimizationHistory, Optimizer, Study, WarmStart
 from .problems import DesignSpace, Objective, OptimizationProblem, Spec, Variable
 
 __version__ = "1.2.0"
@@ -37,7 +36,6 @@ __all__ = [
     "DNNOpt",
     "Optimizer",
     "OptimizationHistory",
-    "BudgetExhausted",
     "Study",
     "WarmStart",
     "OptimizationProblem",

@@ -6,7 +6,7 @@ from .critic import Critic
 from .dnn_opt import DNNOpt
 from .engine import EvalEngine, EvalHandle, default_workers
 from .fom import fom_from_raw, fom_normalized
-from .history import BudgetExhausted, OptimizationHistory, Optimizer
+from .history import OptimizationHistory, Optimizer
 from .pseudo import generate_pseudo_samples
 from .study import Study
 from .warmstart import WarmStart
@@ -21,7 +21,6 @@ __all__ = [
     "default_workers",
     "Optimizer",
     "OptimizationHistory",
-    "BudgetExhausted",
     "FleetCoordinator",
     "RegistryServer",
     "ServiceError",

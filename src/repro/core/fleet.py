@@ -97,20 +97,12 @@ from itertools import count
 
 import numpy as np
 
-from .history import BudgetExhausted
 from .service import (PROTOCOL_VERSION, MultiplexedConnection, ServiceError,
                       backoff_delay, parse_host, recv_msg, send_msg)
 
 __all__ = ["WorkerRegistry", "RegistryServer", "FleetCoordinator"]
 
 _log = logging.getLogger("repro.core.fleet")
-
-#: cap on the deadline-pressure credit multiplier: an expired (or nearly
-#: expired) deadline boosts a tenant's refill rate by at most this factor,
-#: so urgent tenants dominate without ever starving the others (the
-#: deficit round-robin still serves every queued tenant each ring cycle).
-DEADLINE_BOOST_CAP = 16.0
-
 
 class _EvalRejected(Exception):
     """The worker is healthy but refused the request itself."""
@@ -382,11 +374,9 @@ class _Tenant:
 
     __slots__ = ("name", "priority", "credit", "queue", "closed", "inflight",
                  "n_dispatches", "n_chunks", "n_designs", "worker_sims",
-                 "t_first", "t_last", "engine_ref", "degraded", "n_degraded",
-                 "quota", "deadline_s", "t_deadline")
+                 "t_first", "t_last", "engine_ref", "degraded", "n_degraded")
 
-    def __init__(self, name: str, priority: float, degraded: str | None = None,
-                 quota: int | None = None, deadline_s: float | None = None):
+    def __init__(self, name: str, priority: float, degraded: str | None = None):
         self.name = name
         self.priority = priority
         self.credit = 0.0
@@ -402,29 +392,6 @@ class _Tenant:
         self.engine_ref = None
         self.degraded = degraded   # "local" opts into zero-worker fallback
         self.n_degraded = 0        # designs evaluated by that fallback
-        self.quota = quota         # cap on total dispatched designs
-        self.deadline_s = deadline_s          # soft deadline length [s]
-        #: absolute monotonic deadline (anchored when the tenant attaches)
-        self.t_deadline = (time.monotonic() + deadline_s
-                           if deadline_s is not None else None)
-
-
-def _deadline_boost(record: _Tenant, now: float) -> float:
-    """Credit-refill multiplier for a tenant's deadline pressure.
-
-    1.0 for deadline-free tenants and at attach time, rising as the
-    fraction of the deadline remaining shrinks (``deadline_s / remaining``)
-    and capped at :data:`DEADLINE_BOOST_CAP` once the deadline is (nearly)
-    spent.  Applied at refill time, so over a window a tenant's service
-    share is ``priority * boost`` relative to its peers — earliest-deadline
-    tenants win a growing share as T approaches without starving anyone.
-    """
-    if record.t_deadline is None:
-        return 1.0
-    remaining = record.t_deadline - now
-    if remaining <= 0:
-        return DEADLINE_BOOST_CAP
-    return min(DEADLINE_BOOST_CAP, max(1.0, record.deadline_s / remaining))
 
 
 class _TenantDispatcher:
@@ -716,8 +683,7 @@ class FleetCoordinator:
         self.registry.register(address, static=True)
 
     def engine(self, tenant: str | None = None, *, priority: float = 1.0,
-               degraded: str | None = None, quota: int | None = None,
-               deadline_s: float | None = None, **engine_kwargs):
+               degraded: str | None = None, **engine_kwargs):
         """A standard :class:`~repro.core.engine.EvalEngine` whose misses are
         scheduled on the fleet under ``tenant``'s fair-share ``priority``.
 
@@ -727,39 +693,22 @@ class FleetCoordinator:
         ``degraded="local"`` opts this tenant into the zero-worker fallback:
         a dispatch stuck ``degraded_after`` seconds with no live workers is
         evaluated in-process (logged, counted) instead of waiting forever.
-
-        ``quota=N`` caps the tenant's *total dispatched designs* (cache
-        hits and dedups are free): a dispatch that would exceed it raises
-        :class:`~repro.core.history.BudgetExhausted` through the engine
-        seam before anything is queued — :meth:`repro.core.Study.run`
-        catches it and ends the run gracefully with the partial history.
-        ``deadline_s=T`` declares a soft deadline: as ``T`` approaches,
-        the scheduler multiplies the tenant's credit refill by up to
-        :data:`DEADLINE_BOOST_CAP` (earliest-deadline tenants get a
-        growing share; nobody starves).  Both are visible per tenant in
-        :meth:`stats`.
         """
         from .engine import EvalEngine
-        dispatcher = self._attach(tenant, priority=priority, degraded=degraded,
-                                  quota=quota, deadline_s=deadline_s)
+        dispatcher = self._attach(tenant, priority=priority, degraded=degraded)
         engine = EvalEngine(dispatcher=dispatcher, **engine_kwargs)
         with self._cond:
             self._tenants[dispatcher.tenant].engine_ref = weakref.ref(engine)
         return engine
 
     def _attach(self, tenant: str | None, *, priority: float = 1.0,
-                degraded: str | None = None, quota: int | None = None,
-                deadline_s: float | None = None,
+                degraded: str | None = None,
                 owns_fleet: bool = False) -> _TenantDispatcher:
         """Register a tenant and return the dispatcher that feeds it."""
         if priority <= 0:
             raise ValueError("priority must be > 0")
         if degraded not in (None, "local"):
             raise ValueError(f"degraded must be None or 'local', got {degraded!r}")
-        if quota is not None and quota < 1:
-            raise ValueError("quota must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
         with self._cond:
             if self._closed:
                 raise ServiceError("fleet coordinator is closed")
@@ -767,10 +716,7 @@ class FleetCoordinator:
             existing = self._tenants.get(name)
             if existing is not None and not existing.closed:
                 raise ValueError(f"tenant {name!r} is already attached")
-            record = _Tenant(name, float(priority), degraded,
-                             quota=None if quota is None else int(quota),
-                             deadline_s=(None if deadline_s is None
-                                         else float(deadline_s)))
+            record = _Tenant(name, float(priority), degraded)
             self._tenants[name] = record
             if name not in self._order:
                 self._order.append(name)
@@ -778,7 +724,6 @@ class FleetCoordinator:
 
     def stats(self) -> dict:
         """Control-plane metrics: queue depth, per-tenant rates, workers."""
-        now = time.monotonic()
         with self._cond:
             tenants = {}
             engines = {}
@@ -802,14 +747,6 @@ class FleetCoordinator:
                     "closed": record.closed,
                     "degraded": record.degraded,
                     "degraded_designs": record.n_degraded,
-                    "quota": record.quota,
-                    "quota_remaining": (None if record.quota is None else
-                                        max(0, record.quota - record.n_designs)),
-                    "deadline_s": record.deadline_s,
-                    "deadline_remaining_s": (
-                        None if record.t_deadline is None
-                        else round(record.t_deadline - now, 3)),
-                    "deadline_boost": round(_deadline_boost(record, now), 3),
                 }
                 if engine is not None:
                     engines[name] = engine
@@ -898,15 +835,6 @@ class FleetCoordinator:
             record = self._tenants.get(tenant)
             if record is None or record.closed:
                 raise ServiceError(f"tenant {tenant!r} is detached")
-            if (record.quota is not None
-                    and record.n_designs + len(X) > record.quota):
-                # Refused *before* anything is queued, so a quota-capped
-                # tenant stops at exactly the designs already dispatched —
-                # no partial batch ever reaches the workers.
-                raise BudgetExhausted(
-                    f"tenant {tenant!r} quota exhausted: "
-                    f"{record.n_designs}/{record.quota} designs dispatched, "
-                    f"+{len(X)} requested")
             n_consumers = max(1, len(self._pumps)) * self.slots_per_host
             jobs = [_Job(tenant, state, start, stop)
                     for start, stop in _chunk_ranges(len(X), n_consumers)]
@@ -1029,14 +957,9 @@ class FleetCoordinator:
                 return None
             while not any(self._tenants[name].credit >= 1.0
                           for name in ready):
-                now = time.monotonic()
                 for name in ready:
                     record = self._tenants[name]
-                    # Deadline-aware refill: pressure multiplies the rate,
-                    # so an urgent tenant's share grows as T approaches
-                    # while the ring scan still serves every queued tenant
-                    # within one cycle (starvation-free).
-                    record.credit += record.priority * _deadline_boost(record, now)
+                    record.credit += record.priority
             ring = len(self._order)
             picked = None
             for step in range(1, ring + 1):

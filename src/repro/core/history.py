@@ -32,20 +32,7 @@ from .blas import one_blas_thread
 from .engine import EvalEngine
 from .fom import fom_from_raw
 
-__all__ = ["BudgetExhausted", "OptimizationHistory", "Optimizer"]
-
-
-class BudgetExhausted(Exception):
-    """A hard evaluation budget outside the study's own accounting is spent.
-
-    Raised through the engine seam by a fleet tenant quota
-    (``fleet.engine(name, quota=N)``) when it refuses a batch;
-    :class:`repro.core.Study` catches it and ends the run with the partial
-    history.  The study's own budget never raises it — proposals are
-    truncated to the remaining budget before any simulation.  Public API
-    (``repro.core.BudgetExhausted``) for code that drives a quota'd engine
-    directly.
-    """
+__all__ = ["OptimizationHistory", "Optimizer"]
 
 
 class OptimizationHistory:

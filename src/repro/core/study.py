@@ -54,7 +54,6 @@ from typing import Callable
 import numpy as np
 
 from .engine import EvalEngine
-from .history import BudgetExhausted
 
 __all__ = ["Study", "engine_counter_snapshot", "attach_engine_stats"]
 
@@ -282,13 +281,6 @@ class Study:
                     stop = True
                 if self._stop_requested:
                     stop = True
-        except BudgetExhausted:
-            # A hard evaluation budget outside this study's own accounting —
-            # a fleet tenant quota (fleet.engine(name, quota=N)) — refused
-            # the batch.  End the run gracefully with the partial history:
-            # every told row is intact, and the finally block below still
-            # attaches engine stats and writes the exit checkpoint.
-            pass
         finally:
             # Drain (and discard) whatever is still in flight so no engine
             # worker is left running; results land in the engine cache.

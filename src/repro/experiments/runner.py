@@ -128,9 +128,7 @@ def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],
     ``engine_factory``.  The coordinator lives in *this* process, so
     parallel trials run on the thread pool rather than forked workers.
     ``fleet_kwargs`` forwards per-tenant scheduling knobs to every trial's
-    ``fleet.engine()`` call — e.g. ``{"priority": 2.0, "quota": 300,
-    "deadline_s": 600}``; a trial that exhausts its quota ends gracefully
-    with its partial history (the Study catches ``BudgetExhausted``).
+    ``fleet.engine()`` call — e.g. ``{"priority": 2.0}``.
     """
     workers = max(1, int(workers))
     if fleet_kwargs and fleet is None:

@@ -434,77 +434,3 @@ def test_worker_cache_dir_two_process_smoke(tmp_path):
     assert stats2["n_sims"] == 0       # new process, all answered from disk
     assert stats2["disk_hits"] == 6
     np.testing.assert_array_equal(F1, F2)
-
-
-# ----------------------------------------------------------------------
-# tenant quotas + deadline-aware scheduling
-# ----------------------------------------------------------------------
-def test_quota_refusal_raises_through_engine_seam():
-    # The quota check runs before anything is queued, so it fires even on
-    # a workerless fleet — and partial batches never count against it.
-    from repro.core import BudgetExhausted
-
-    with FleetCoordinator() as fleet:
-        engine = fleet.engine("capped", quota=2)
-        X = Sphere(2).space.sample(np.random.default_rng(0), 3)
-        with pytest.raises(BudgetExhausted, match="quota exhausted"):
-            engine.evaluate_batch(Sphere(2), X)
-        stats = fleet.stats()["tenants"]["capped"]
-        assert stats["quota"] == 2
-        assert stats["quota_remaining"] == 2   # refused before dispatch
-        assert stats["designs"] == 0
-        with pytest.raises(ValueError):
-            fleet.engine("bad", quota=0)
-        with pytest.raises(ValueError):
-            fleet.engine("bad", deadline_s=0.0)
-        engine.close()
-
-
-def test_quota_capped_study_stops_at_exact_quota(two_local_servers):
-    # Acceptance pin: a tenant with quota=7 driving a budget-20 study ends
-    # gracefully with exactly 7 evaluations in its history — the engine
-    # seam raises BudgetExhausted and the Study keeps the partial run.
-    hosts = [server.address for server in two_local_servers]
-    with FleetCoordinator(hosts=hosts) as fleet:
-        engine = fleet.engine("capped", quota=7)
-        history = RandomSearch(ConstrainedSphere(3), 20, seed=4,
-                               engine=engine).run()
-        assert history.n_evals == 7
-        stats = fleet.stats()["tenants"]["capped"]
-        assert stats["designs"] == 7
-        assert stats["quota_remaining"] == 0
-        engine.close()
-    # the 7 recorded rows are the serial run's prefix, not a reshuffle
-    serial = RandomSearch(ConstrainedSphere(3), 20, seed=4).run()
-    np.testing.assert_array_equal(history.X, serial.X[:7])
-    np.testing.assert_array_equal(history.F, serial.F[:7])
-
-
-def test_deadline_boost_grows_tenant_share_without_starvation():
-    # An expired deadline pins the credit-refill multiplier at the cap
-    # (16x), so the urgent tenant is served 16 chunks per calm chunk —
-    # while the ring scan still serves the calm tenant in every refill
-    # cycle (starvation-free).
-    from repro.core.fleet import DEADLINE_BOOST_CAP
-
-    with FleetCoordinator() as fleet:
-        engine_u = fleet.engine("urgent", deadline_s=0.05)
-        engine_c = fleet.engine("calm")
-        time.sleep(0.1)  # deadline passes -> boost saturates at the cap
-        stats = fleet.stats()["tenants"]
-        assert stats["urgent"]["deadline_boost"] == DEADLINE_BOOST_CAP
-        assert stats["urgent"]["deadline_s"] == 0.05
-        assert stats["urgent"]["deadline_remaining_s"] <= 0
-        assert stats["calm"]["deadline_boost"] == 1.0
-
-        _enqueue_jobs(fleet, "urgent", 32)
-        _enqueue_jobs(fleet, "calm", 32)
-        stop = threading.Event()
-        order = [fleet._next_job(stop).tenant for _ in range(34)]
-        assert order.count("urgent") == 32
-        assert order.count("calm") == 2
-        window = int(DEADLINE_BOOST_CAP) + 1
-        for lo in range(0, 34, window):  # calm appears in every refill cycle
-            assert "calm" in order[lo:lo + window]
-        engine_u.close()
-        engine_c.close()

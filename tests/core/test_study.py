@@ -27,7 +27,7 @@ from repro.baselines import (
     RandomSearch,
     SimulatedAnnealing,
 )
-from repro.core import BudgetExhausted, DNNOpt, EvalEngine, Optimizer, Study
+from repro.core import DNNOpt, EvalEngine, Optimizer, Study
 from repro.core.history import OptimizationHistory
 from repro.problems import ConstrainedSphere, Sphere
 
@@ -135,13 +135,6 @@ def test_sa_waits_for_starting_point():
     assert len(opt.ask()) == 0
     opt.tell(X, opt.problem.evaluate_batch(X))
     assert len(opt.ask(3)) == 3  # batch of random-walk proposals
-
-
-# ----------------------------------------------------------------------
-# BudgetExhausted is public API (the fleet quota raises it into Study)
-# ----------------------------------------------------------------------
-def test_budget_exhausted_aliases_old_private_name():
-    assert isinstance(BudgetExhausted(), Exception)
 
 
 # ----------------------------------------------------------------------
