@@ -9,7 +9,7 @@ Two measurements:
 * **latency-modeled** (guarded) — a proposer that sleeps ``--ask-latency``
   per batch (standing in for actor/critic retraining) over a problem that
   sleeps ``--latency`` per evaluation (the external-simulator model), on the
-  thread backend.  Both sides are wait-bound, so the measured *ratio* is
+  process backend.  Both sides are wait-bound, so the measured *ratio* is
   machine-portable, like ``BENCH_service.json``; the ideal is 2.0x when the
   two latencies match.
 * **DNN-Opt** (reported, not guarded) — the real optimizer with its real
@@ -25,9 +25,10 @@ deterministic evaluation of its design — and that the latency-modeled
     PYTHONPATH=src python benchmarks/bench_pipeline.py --quick
 
 Results go to ``BENCH_pipeline.json`` (override with ``--out``); ``--check
-BASELINE.json`` fails when the pipelined-vs-barrier speedup drops more than
-40% below the committed baseline — a driver that stops overlapping (lost
-submit/gather path, serialized pipeline) shows up immediately.
+BASELINE.json`` fails when the pipelined-vs-barrier speedup drops below
+``REGRESSION_FLOOR`` of the committed baseline — a driver that stops
+overlapping (lost submit/gather path, serialized pipeline) shows up
+immediately.
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ import numpy as np
 from repro.core import DNNOpt, EvalEngine, Optimizer, Study
 from repro.problems import LatencyProblem, Sphere
 
-#: fraction of the baseline speedup a measured speedup must retain.
-REGRESSION_FLOOR = 0.6
+#: fraction of the baseline speedup a measured speedup must retain.  0.72 of
+#: the recorded 1.58x keeps the floor at 1.14x, no looser than the 1.12x of
+#: the thread-backend baseline: each pool batch pays a few ms of IPC that
+#: equal ask and eval latencies cannot hide, so the process ratio is lower.
+REGRESSION_FLOOR = 0.72
 
 
 class SlowProposer(Optimizer):
@@ -75,9 +79,16 @@ class SlowProposer(Optimizer):
 
 
 def time_study(make_optimizer, make_engine, depth: int):
-    """Wall-clock one full study run; returns (seconds, history)."""
+    """Wall-clock one full study run; returns (seconds, history).
+
+    The engine first answers an untimed warm-up batch, so its process
+    pool's start-up is not in the timing.
+    """
     with make_engine() as engine:
         optimizer = make_optimizer(engine)
+        space = optimizer.problem.space
+        engine.evaluate_batch(optimizer.problem,
+                              space.sample(np.random.default_rng(1), engine.workers))
         study = Study(optimizer, pipeline_depth=depth)
         t0 = perf_counter()
         history = study.run()
@@ -86,7 +97,7 @@ def time_study(make_optimizer, make_engine, depth: int):
 
 def run(args) -> dict:
     problem = LatencyProblem(Sphere(6), args.latency / 1e3)
-    make_engine = lambda: EvalEngine("thread", workers=args.batch, cache_size=0)
+    make_engine = lambda: EvalEngine("process", workers=args.batch, cache_size=0)
 
     # -- latency-modeled proposer (the guarded, portable ratio) ------------
     make_proposer = lambda engine: SlowProposer(
@@ -165,7 +176,7 @@ if __name__ == "__main__":
     parser.add_argument("--budget", type=int, default=64,
                         help="simulations per latency-modeled study")
     parser.add_argument("--batch", type=int, default=8,
-                        help="designs per ask batch (= thread pool size)")
+                        help="designs per ask batch (= process pool size)")
     parser.add_argument("--latency", type=float, default=60.0,
                         help="modeled per-evaluation latency in ms")
     parser.add_argument("--ask-latency", type=float, default=60.0,
