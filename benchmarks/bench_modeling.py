@@ -259,7 +259,7 @@ def time_trials(reps: int) -> dict:
     """Best-of-``reps`` seconds of ``run_trials`` at ``workers=1`` and
     ``workers=2``, reps interleaved, and whether their histories agree."""
     seconds: dict[int, list[float]] = {1: [], 2: []}
-    hashes: dict[int, set[str]] = {1: set(), 2: set()}
+    hashes: set[str] = set()
     for _ in range(reps):
         for workers in (1, 2):
             t0 = perf_counter()
@@ -267,7 +267,7 @@ def time_trials(reps: int) -> dict:
                                    budget=TRIAL_BUDGET, n_trials=TRIALS,
                                    base_seed=SEED, workers=workers)
             seconds[workers].append(perf_counter() - t0)
-            hashes[workers].add(histories_sha256(histories))
+            hashes.add(histories_sha256(histories))
     return {
         "problem": "folded_cascode",
         "trials": TRIALS,
@@ -277,8 +277,8 @@ def time_trials(reps: int) -> dict:
         "serial_s": min(seconds[1]),
         "parallel_s": min(seconds[2]),
         "speedup": min(seconds[1]) / min(seconds[2]),
-        "history_sha256": sorted(hashes[1] | hashes[2]),
-        "histories_equal": len(hashes[1] | hashes[2]) == 1,
+        "history_sha256": sorted(hashes),
+        "histories_equal": len(hashes) == 1,
     }
 
 

@@ -51,7 +51,7 @@ if __name__ == "__main__":
                              "REPRO_SERVICE_HOSTS)")
     parser.add_argument("--engine-workers", type=int, default=None,
                         help="pool size inside each trial's engine "
-                             "(thread/process backends)")
+                             "(process backend)")
     parser.add_argument("--pipeline", type=int, default=1, metavar="DEPTH",
                         help="ask/tell batches kept in flight per trial "
                              "(default 1 = barrier mode, the paper protocol)")
