@@ -61,6 +61,9 @@ if __name__ == "__main__":
             thread.start()
         for thread in threads:
             thread.join()
+        if len(histories) != len(threads):
+            raise SystemExit(f"a tenant's Study failed: only "
+                             f"{sorted(histories)} finished")
 
         for name, history in sorted(histories.items()):
             summary = history.summary()

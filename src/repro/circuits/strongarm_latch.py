@@ -177,7 +177,7 @@ class StrongArmLatch(SizingCircuit):
         if len(set_cross):
             results["set_delay_s"] = float(set_cross[0] - t_eval)
         else:
-            results["set_delay_s"] = window  # degraded: never set
+            results["set_delay_s"] = window  # fallback: never set
         eval_mask = (t >= t_eval) & (t <= t_reset)
         results["diff_set_v"] = float(np.max(np.abs(diff[eval_mask])))
 

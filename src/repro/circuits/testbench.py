@@ -2,7 +2,7 @@
 
 Random sizings routinely produce amplifiers with sub-unity gain or phase
 curves that never reach the measurement condition.  Testbenches must return
-*degraded numbers* for such designs (so the FoM can rank them) rather than
+*fallback numbers* for such designs (so the FoM can rank them) rather than
 raising — these wrappers encode the fallbacks.
 """
 
@@ -48,7 +48,7 @@ def settling_metrics(t: np.ndarray, y: np.ndarray, *, t_step: float, target: flo
                      step_size: float, tolerance: float = 0.01) -> dict[str, float]:
     """Settling time to the tolerance band around ``target`` plus the static
     error in percent of the step; a waveform that never settles reports the
-    full window (degraded but finite)."""
+    full window (a finite fallback)."""
     window = float(t[-1] - t_step)
     final = waveform.steady_state(y)
     try:

@@ -1,10 +1,9 @@
 """Deterministic fault injection for the evaluation service and fleet.
 
 The failure-hardening layer (chunk deadlines, bounded failover, hedged
-re-dispatch, backoff quarantine, degraded-local fallback) is only worth
-trusting if every recovery path is *provoked on demand* and pinned by
-tests.  This module provides that provocation as data, not hand-scripted
-fakes:
+re-dispatch, backoff quarantine) is only worth trusting if every recovery
+path is *provoked on demand* and pinned by tests.  This module provides
+that provocation as data, not hand-scripted fakes:
 
 * :class:`FaultSpec` — one fault: a ``kind`` (what goes wrong), an ``op``
   filter (which request frames it targets) and a trigger (``nth`` /

@@ -61,9 +61,10 @@ keeps an LRU table of unpickled problems by fingerprint (bounded by
 :data:`MAX_PROBLEMS`, like a service worker's ``put_problem`` table), so
 concurrent dispatches for different problems — the corner variants of a
 PVT fan-out, successive trials, several studies on one engine — share one
-warm pool.  The process backend therefore needs a picklable problem, as
-the remote backend does; an unpicklable one raises ``TypeError`` at
-dispatch.  All bundled problems (synthetic suite and circuit sizing
+warm pool.  The ``remote`` backend ships the same pickle to its worker
+servers, so both pool-like backends need a picklable problem: an
+unpicklable one raises ``TypeError`` at dispatch, before any design leaves
+the process.  All bundled problems (synthetic suite and circuit sizing
 problems) are plain-data objects and pickle cleanly.
 """
 
@@ -203,8 +204,9 @@ class EvalEngine:
         ``python -m repro.core.service --port PORT``.
     dispatcher:
         A pre-built remote-style dispatcher — any object with
-        ``dispatch(problem, token, X) -> (rows, counters, n_sims)`` and
-        ``close()`` — used *instead of* the private fleet built from
+        ``dispatch(token, blob, X) -> (rows, counters, n_sims)`` and
+        ``close()``, where ``blob`` is the problem pickle that ``token``
+        hashes — used *instead of* the private fleet built from
         ``hosts``.  Implies ``backend="remote"``.  This is how
         :meth:`~repro.core.fleet.FleetCoordinator.engine` hands each tenant
         a standard engine whose misses flow through the shared fleet
@@ -219,11 +221,6 @@ class EvalEngine:
         hang) once every host has failed.  ``None`` (default) reads the
         ``REPRO_CHUNK_TIMEOUT`` environment variable; unset means no
         deadline (simulations may legitimately take minutes).
-    degraded:
-        ``"local"`` opts the ``remote`` backend into graceful degradation:
-        once every host has failed, missing rows are evaluated in-process
-        (logged and counted) instead of raising.  Default ``None`` keeps
-        the strict fail-fast behaviour.
 
     The engine is reusable across batches and across optimizers sharing one
     problem; :meth:`close` (or use as a context manager) releases the pool
@@ -232,8 +229,7 @@ class EvalEngine:
 
     def __init__(self, backend: str = "serial", *, workers: int | None = None,
                  cache_size: int = 100_000, cache_dir=None, hosts=None,
-                 dispatcher=None, chunk_timeout: float | None = None,
-                 degraded: str | None = None):
+                 dispatcher=None, chunk_timeout: float | None = None):
         if dispatcher is not None:
             backend = "remote"
         if backend not in BACKENDS:
@@ -242,8 +238,6 @@ class EvalEngine:
             raise ValueError("workers must be >= 1")
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if degraded not in (None, "local"):
-            raise ValueError(f"degraded must be None or 'local', got {degraded!r}")
         if hosts is None:
             hosts = [h.strip() for h in os.environ.get(HOSTS_ENV, "").split(",")
                      if h.strip()]
@@ -257,7 +251,6 @@ class EvalEngine:
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise ValueError("chunk_timeout must be > 0 seconds")
         self.chunk_timeout = chunk_timeout
-        self.degraded = degraded
         self.backend = backend
         self.workers = int(workers) if workers is not None else default_workers()
         self.cache_size = int(cache_size)
@@ -271,12 +264,12 @@ class EvalEngine:
             self._disk = DiskCache(self.cache_dir)
         # Problem identity: content-fingerprint tokens held behind weakrefs.
         # ``_problem_tokens`` maps a *live* instance's id() to its token and
-        # ``_problem_blobs`` to the pickle the token hashes (what process
-        # pool tasks ship); the paired weakref callback removes both when
-        # the instance dies, so a recycled id can never alias a stale token
-        # and the engine never pins dropped problems in memory.  Unpicklable
-        # problems fall back to a unique anonymous token and no blob (and,
-        # if also un-weakref-able, a strong pin).
+        # ``_problem_blobs`` to the pickle the token hashes (what pool tasks
+        # and remote workers receive); the paired weakref callback removes
+        # both when the instance dies, so a recycled id can never alias a
+        # stale token and the engine never pins dropped problems in memory.
+        # Unpicklable problems fall back to a unique anonymous token and no
+        # blob (and, if also un-weakref-able, a strong pin).
         self._problem_tokens: dict[int, bytes] = {}   # guarded by: _state_lock
         self._problem_blobs: dict[int, bytes] = {}    # guarded by: _state_lock
         self._problem_wrefs: dict[int, weakref.ref] = {}  # guarded by: _state_lock
@@ -308,8 +301,7 @@ class EvalEngine:
             # A private, single-tenant fleet pinned to ``hosts``: it starts
             # connecting now and closes with the engine.
             from .fleet import private_fleet
-            self._remote = private_fleet(self.hosts, chunk_timeout=chunk_timeout,
-                                         degraded=degraded)
+            self._remote = private_fleet(self.hosts, chunk_timeout=chunk_timeout)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -675,17 +667,17 @@ class EvalEngine:
         """Rows for ``X``, plus the simulator counter deltas measured where
         the simulation ran outside this process (one dict per pool chunk
         or remote reply; empty when it all ran here).  ``blob`` is the
-        problem's pickle, which process pool tasks carry."""
+        problem's pickle, which pool tasks and remote workers receive."""
+        if self.backend != "serial" and blob is None:
+            raise TypeError(
+                f"{self.backend} backend requires a picklable problem "
+                f"({type(problem).__name__} failed to pickle)")
         if self.backend == "remote":
             rows, counters, n_sims = self._remote_dispatcher().dispatch(
-                problem, token, X)
+                token, blob, X)
             with self._state_lock:
                 self.worker_sim_calls += n_sims
             return rows, [counters]
-        if self.backend == "process" and blob is None:
-            raise TypeError(
-                f"process backend requires a picklable problem "
-                f"({type(problem).__name__} failed to pickle)")
         if self.backend == "serial" or len(X) == 1:
             return problem.evaluate_batch(X), []
         import multiprocessing as mp

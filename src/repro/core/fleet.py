@@ -51,12 +51,16 @@ and never replies is a retryable transport failure, not a hang);
 host (first reply wins, duplicates discarded — harmless because evals are
 deterministic and cache-deduped); failed hosts are quarantined under
 capped exponential backoff with deterministic jitter instead of a fixed
-retry-after; and a tenant created with ``degraded="local"`` falls back to
-bounded in-process evaluation when the fleet has zero live workers for
-``degraded_after`` seconds, or at once when every pin has failed.  All
-recovery paths preserve the bit-identity contract below and are pinned
-under seeded fault injection by :mod:`repro.core.chaos`
-(``tests/core/test_chaos.py``).
+retry-after.  Nothing is ever evaluated in the coordinator's process: with
+zero live workers a registry fleet waits for one to register, and a
+registry-less one fails as described above.  All recovery paths preserve
+the bit-identity contract below and are pinned under seeded fault
+injection by :mod:`repro.core.chaos` (``tests/core/test_chaos.py``).
+
+A dispatch ships the problem pickle its engine already holds (the bytes
+its fingerprint token hashes), base64-encoded once per dispatch, so a
+worker always unpickles exactly the problem the token names; the engine
+refuses an unpicklable problem before anything reaches the fleet.
 
 Typical wiring::
 
@@ -87,8 +91,6 @@ a lock here, follow the "Adding a lock" checklist in the README.
 from __future__ import annotations
 
 import base64
-import logging
-import pickle
 import threading
 import time
 import weakref
@@ -102,21 +104,9 @@ from .service import (PROTOCOL_VERSION, MultiplexedConnection, ServiceError,
 
 __all__ = ["WorkerRegistry", "RegistryServer", "FleetCoordinator"]
 
-_log = logging.getLogger("repro.core.fleet")
 
 class _EvalRejected(Exception):
     """The worker is healthy but refused the request itself."""
-
-
-def _encode_problem(problem) -> str:
-    """Base64 pickle of ``problem`` for the ``put_problem`` frame."""
-    try:
-        return base64.b64encode(
-            pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
-    except Exception as exc:
-        raise TypeError(
-            f"remote backend requires a picklable problem "
-            f"({type(problem).__name__} failed to pickle: {exc})") from exc
 
 
 def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
@@ -131,11 +121,11 @@ def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
 class WorkerRegistry:
     """Heartbeat-refreshed table of live worker addresses (thread-safe).
 
-    A worker that registers (or heartbeats — the two are the same refresh)
-    stays *live* until ``timeout`` seconds pass without another beat, then
-    ages out.  Addresses registered with ``static=True`` never age out —
-    the fixed-deployment escape hatch; :meth:`deregister` removes either
-    kind explicitly.
+    A worker that registers (a heartbeat is the same refresh) stays *live*
+    until ``timeout`` seconds pass without another beat, then ages out.
+    Addresses registered with ``static=True`` never age out — the
+    fixed-deployment escape hatch; :meth:`deregister` removes either kind
+    explicitly.
     """
 
     def __init__(self, *, timeout: float = 10.0):
@@ -155,10 +145,6 @@ class WorkerRegistry:
                 self._static.add(address)
             else:
                 self._seen[address] = time.monotonic()
-
-    def heartbeat(self, address: str) -> None:
-        """Alias of :meth:`register` — a heartbeat is a freshness refresh."""
-        self.register(address)
 
     def deregister(self, address: str) -> None:
         with self._lock:
@@ -292,14 +278,17 @@ class RegistryServer:
 # dispatch bookkeeping
 # ----------------------------------------------------------------------
 class _DispatchState:
-    """One tenant dispatch: its rows, chunk countdown, and failure flag."""
+    """One tenant dispatch: its rows, chunk countdown, and failure flag.
 
-    __slots__ = ("problem", "token_hex", "X", "out", "remaining", "counters",
-                 "n_sims", "error", "event", "_lock", "_blob")
+    ``blob`` is the base64 problem pickle for the ``put_problem`` frame.
+    """
 
-    def __init__(self, problem, token_hex: str, X: np.ndarray):
-        self.problem = problem
+    __slots__ = ("token_hex", "blob", "X", "out", "remaining", "counters",
+                 "n_sims", "error", "event", "_lock")
+
+    def __init__(self, token_hex: str, blob: str, X: np.ndarray):
         self.token_hex = token_hex
+        self.blob = blob
         self.X = X
         self.out: list = [None] * len(X)
         self.remaining = 0           # outstanding chunk count, set at enqueue
@@ -308,14 +297,6 @@ class _DispatchState:
         self.error: str | None = None
         self.event = threading.Event()
         self._lock = threading.Lock()
-        self._blob: str | None = None
-
-    def blob(self) -> str:
-        """Base64 problem pickle, encoded lazily once per dispatch."""
-        with self._lock:
-            if self._blob is None:
-                self._blob = _encode_problem(self.problem)
-            return self._blob
 
     def aborted(self) -> bool:
         return self.error is not None
@@ -374,9 +355,9 @@ class _Tenant:
 
     __slots__ = ("name", "priority", "credit", "queue", "closed", "inflight",
                  "n_dispatches", "n_chunks", "n_designs", "worker_sims",
-                 "t_first", "t_last", "engine_ref", "degraded", "n_degraded")
+                 "t_first", "t_last", "engine_ref")
 
-    def __init__(self, name: str, priority: float, degraded: str | None = None):
+    def __init__(self, name: str, priority: float):
         self.name = name
         self.priority = priority
         self.credit = 0.0
@@ -390,8 +371,6 @@ class _Tenant:
         self.t_first: float | None = None
         self.t_last: float | None = None
         self.engine_ref = None
-        self.degraded = degraded   # "local" opts into zero-worker fallback
-        self.n_degraded = 0        # designs evaluated by that fallback
 
 
 class _TenantDispatcher:
@@ -407,14 +386,8 @@ class _TenantDispatcher:
         self.tenant = tenant
         self.owns_fleet = owns_fleet
 
-    def dispatch(self, problem, token: bytes, X: np.ndarray):
-        return self._coordinator._dispatch(self.tenant, problem, token, X)
-
-    @property
-    def n_degraded(self) -> int:
-        """Designs of this tenant evaluated in-process (degraded mode)."""
-        tenants = self._coordinator.stats()["tenants"]
-        return tenants[self.tenant]["degraded_designs"]
+    def dispatch(self, token: bytes, blob: bytes, X: np.ndarray):
+        return self._coordinator._dispatch(self.tenant, token, blob, X)
 
     def close(self) -> None:
         """Detach the tenant; a shared fleet stays up, a private one closes."""
@@ -423,26 +396,26 @@ class _TenantDispatcher:
             self._coordinator.close()
 
 
-def private_fleet(hosts, *, chunk_timeout: float | None = None,
-                  degraded: str | None = None) -> _TenantDispatcher:
+def private_fleet(hosts, *,
+                  chunk_timeout: float | None = None) -> _TenantDispatcher:
     """The dispatcher of ``EvalEngine("remote", hosts=...)``: the only tenant
     of a private :class:`FleetCoordinator` pinned to ``hosts``, with no
     registry server, so its pins alone serve it.  Closing the dispatcher
     closes the coordinator."""
     fleet = FleetCoordinator(hosts=hosts, chunk_timeout=chunk_timeout)
-    return fleet._attach("remote", degraded=degraded, owns_fleet=True)
+    return fleet._attach("remote", owns_fleet=True)
 
 
 # ----------------------------------------------------------------------
 # per-host pump
 # ----------------------------------------------------------------------
 class _HostPump:
-    """Feeds one worker: ``slots`` threads pulling scheduled chunks onto a
-    shared multiplexed connection, so the worker's queue never drains dry
-    between a reply landing and the next chunk arriving."""
+    """Feeds one worker: :attr:`FleetCoordinator.SLOTS_PER_HOST` threads
+    pulling scheduled chunks onto a shared multiplexed connection, so the
+    worker's queue never drains dry between a reply landing and the next
+    chunk arriving."""
 
-    def __init__(self, coordinator: "FleetCoordinator", address: str,
-                 slots: int):
+    def __init__(self, coordinator: "FleetCoordinator", address: str):
         self.coordinator = coordinator
         self.address = address
         self.addr = parse_host(address)
@@ -459,7 +432,7 @@ class _HostPump:
         self._threads = [
             threading.Thread(target=self._run,
                              name=f"fleet-pump-{address}-{i}", daemon=True)
-            for i in range(max(1, int(slots)))]
+            for i in range(coordinator.SLOTS_PER_HOST)]
 
     def start(self) -> None:
         for thread in self._threads:
@@ -537,7 +510,7 @@ class _HostPump:
         timeout = (None if chunk_timeout is None
                    else max(self.coordinator.connect_timeout, chunk_timeout))
         reply = conn.request({"op": "put_problem", "token": state.token_hex,
-                              "blob": state.blob()}, timeout=timeout)
+                              "blob": state.blob}, timeout=timeout)
         if not reply.get("ok"):
             raise _EvalRejected(
                 f"put_problem rejected: {reply.get('error', reply)}")
@@ -561,14 +534,9 @@ class FleetCoordinator:
         required).  A failed pin is quarantined, never dropped, and retried
         once its quarantine ends.  Without :meth:`listen` the pins are the
         only workers: once all of them have failed, queued dispatches abort
-        with :class:`ServiceError` (``degraded="local"`` tenants evaluate
-        in-process) instead of waiting.
+        with :class:`ServiceError` instead of waiting.
     heartbeat_timeout:
         Seconds without a heartbeat before a (non-static) worker ages out.
-    slots_per_host:
-        Concurrent chunks kept in flight per worker.  ``2`` (default)
-        pipelines the wire round-trip behind the worker's current
-        evaluation; the worker itself still evaluates serially.
     poll_interval:
         How often the watcher reconciles pumps against the registry.
     max_chunk_requeues:
@@ -597,11 +565,6 @@ class FleetCoordinator:
     hedge_min_s:
         Floor for the straggler threshold, so sub-millisecond p50s don't
         hedge every scheduling hiccup (default 0.25 s).
-    degraded_after:
-        Seconds a dispatch from a ``degraded="local"`` tenant may sit with
-        *zero* live workers before its queued chunks are evaluated
-        in-process (default 2.0 s; no wait once every pin has failed).
-        Tenants opt in per engine: ``fleet.engine(name, degraded="local")``.
 
     Tenants are created with :meth:`engine`; scheduling is weighted deficit
     round-robin at chunk granularity (see module docstring).  The
@@ -616,15 +579,17 @@ class FleetCoordinator:
     #: cap (seconds) on the exponential quarantine backoff of a failed host.
     QUARANTINE_CAP_S = 30.0
 
+    #: chunks kept in flight per worker: two pipeline the wire round-trip
+    #: behind the worker's current evaluation (it still evaluates serially).
+    SLOTS_PER_HOST = 2
+
     def __init__(self, *, registry: WorkerRegistry | None = None, hosts=(),
-                 heartbeat_timeout: float = 10.0, slots_per_host: int = 2,
-                 poll_interval: float = 0.2,
+                 heartbeat_timeout: float = 10.0, poll_interval: float = 0.2,
                  max_chunk_requeues: int | None = None,
                  connect_timeout: float = 10.0,
                  chunk_timeout: float | None = None,
                  hedge_factor: float | None = None,
-                 hedge_min_s: float = 0.25,
-                 degraded_after: float = 2.0):
+                 hedge_min_s: float = 0.25):
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise ValueError("chunk_timeout must be > 0 seconds")
         if hedge_factor is not None and hedge_factor <= 1.0:
@@ -632,7 +597,6 @@ class FleetCoordinator:
         self.registry = registry or WorkerRegistry(timeout=heartbeat_timeout)
         for host in hosts:
             self.registry.register(host, static=True)
-        self.slots_per_host = max(1, int(slots_per_host))
         self.poll_interval = max(0.02, float(poll_interval))
         self.max_chunk_requeues = max_chunk_requeues
         self.connect_timeout = float(connect_timeout)
@@ -641,7 +605,6 @@ class FleetCoordinator:
         self.hedge_factor = (None if hedge_factor is None
                              else float(hedge_factor))
         self.hedge_min_s = float(hedge_min_s)
-        self.degraded_after = max(0.0, float(degraded_after))
         self._cond = threading.Condition()
         self._tenants: dict[str, _Tenant] = {}   # guarded by: _cond
         self._order: list[str] = []   # round-robin ring; guarded by: _cond
@@ -657,7 +620,6 @@ class FleetCoordinator:
         self.n_requeues = 0        # guarded by: _cond
         self.n_hedges = 0          # speculative duplicates; guarded by: _cond
         self.n_hedge_discards = 0  # losing copies dropped; guarded by: _cond
-        self.n_degraded = 0        # degraded-local answers; guarded by: _cond
         self._sync_pumps()  # static hosts get pumps before the first dispatch
         self._watcher = threading.Thread(target=self._watch,
                                          name="fleet-watcher", daemon=True)
@@ -671,44 +633,27 @@ class FleetCoordinator:
                                           stats_source=self)
         return self._server
 
-    @property
-    def registry_address(self) -> str | None:
-        return self._server.address if self._server is not None else None
-
-    def add_host(self, address: str) -> None:
-        """Pin a static worker address (and forgive an earlier failure)."""
-        with self._cond:
-            self._quarantine.pop(address, None)
-            self._failures.pop(address, None)
-        self.registry.register(address, static=True)
-
     def engine(self, tenant: str | None = None, *, priority: float = 1.0,
-               degraded: str | None = None, **engine_kwargs):
+               **engine_kwargs):
         """A standard :class:`~repro.core.engine.EvalEngine` whose misses are
         scheduled on the fleet under ``tenant``'s fair-share ``priority``.
 
         The engine owns its own cache tiers (``cache_size``/``cache_dir``
         and friends pass through), so per-tenant hit-rates stay separable;
         closing it detaches the tenant without touching the fleet.
-        ``degraded="local"`` opts this tenant into the zero-worker fallback:
-        a dispatch stuck ``degraded_after`` seconds with no live workers is
-        evaluated in-process (logged, counted) instead of waiting forever.
         """
         from .engine import EvalEngine
-        dispatcher = self._attach(tenant, priority=priority, degraded=degraded)
+        dispatcher = self._attach(tenant, priority=priority)
         engine = EvalEngine(dispatcher=dispatcher, **engine_kwargs)
         with self._cond:
             self._tenants[dispatcher.tenant].engine_ref = weakref.ref(engine)
         return engine
 
     def _attach(self, tenant: str | None, *, priority: float = 1.0,
-                degraded: str | None = None,
                 owns_fleet: bool = False) -> _TenantDispatcher:
         """Register a tenant and return the dispatcher that feeds it."""
         if priority <= 0:
             raise ValueError("priority must be > 0")
-        if degraded not in (None, "local"):
-            raise ValueError(f"degraded must be None or 'local', got {degraded!r}")
         with self._cond:
             if self._closed:
                 raise ServiceError("fleet coordinator is closed")
@@ -716,7 +661,7 @@ class FleetCoordinator:
             existing = self._tenants.get(name)
             if existing is not None and not existing.closed:
                 raise ValueError(f"tenant {name!r} is already attached")
-            record = _Tenant(name, float(priority), degraded)
+            record = _Tenant(name, float(priority))
             self._tenants[name] = record
             if name not in self._order:
                 self._order.append(name)
@@ -745,8 +690,6 @@ class FleetCoordinator:
                     "sims_per_sec": (round(record.worker_sims / elapsed, 3)
                                      if elapsed and elapsed > 0 else 0.0),
                     "closed": record.closed,
-                    "degraded": record.degraded,
-                    "degraded_designs": record.n_degraded,
                 }
                 if engine is not None:
                     engines[name] = engine
@@ -754,7 +697,7 @@ class FleetCoordinator:
             workers = {address: {"chunks": pump.n_chunks,
                                  "sims": pump.n_sims,
                                  "inflight": pump.inflight,
-                                 "slots": self.slots_per_host}
+                                 "slots": self.SLOTS_PER_HOST}
                        for address, pump in self._pumps.items()}
             queue_depth = sum(len(t.queue) for t in self._tenants.values())
             inflight = sum(t.inflight for t in self._tenants.values())
@@ -762,7 +705,6 @@ class FleetCoordinator:
             requeues = self.n_requeues
             hedges = self.n_hedges
             hedge_discards = self.n_hedge_discards
-            degraded_designs = self.n_degraded
         # Engine counters come from each engine's own lock — taken *after*
         # _cond is released so the two locks never nest.
         for name, engine in engines.items():
@@ -782,7 +724,6 @@ class FleetCoordinator:
                 "tenants": tenants, "requeues": requeues,
                 "hedges": hedges,
                 "hedge_discards": hedge_discards,
-                "degraded_designs": degraded_designs,
                 "chunk_latency": latency,
                 "registry": {"live": self.registry.live(),
                              **self.registry.counters()}}
@@ -827,15 +768,16 @@ class FleetCoordinator:
                     f"closed={self._closed})")
 
     # -- tenant dispatch ---------------------------------------------------
-    def _dispatch(self, tenant: str, problem, token: bytes, X: np.ndarray):
-        state = _DispatchState(problem, token.hex(), np.asarray(X))
+    def _dispatch(self, tenant: str, token: bytes, blob: bytes, X: np.ndarray):
+        state = _DispatchState(token.hex(), base64.b64encode(blob).decode("ascii"),
+                               np.asarray(X))
         with self._cond:
             if self._closed:
                 raise ServiceError("fleet coordinator is closed")
             record = self._tenants.get(tenant)
             if record is None or record.closed:
                 raise ServiceError(f"tenant {tenant!r} is detached")
-            n_consumers = max(1, len(self._pumps)) * self.slots_per_host
+            n_consumers = max(1, len(self._pumps)) * self.SLOTS_PER_HOST
             jobs = [_Job(tenant, state, start, stop)
                     for start, stop in _chunk_ranges(len(X), n_consumers)]
             state.remaining = len(jobs)
@@ -848,67 +790,18 @@ class FleetCoordinator:
         # Elastic by design: with zero live workers the chunks wait for one
         # to register; close() (or a requeue-budget blowout) aborts them.
         # A coordinator without a registry server is served by its pins
-        # alone: once every pin has failed the chunks abort at once, and a
-        # degraded="local" tenant evaluates them in-process instead.  Such a
-        # tenant also falls back once no worker has shown up (or survived)
-        # for ``degraded_after`` seconds.
-        idle_since: float | None = None
+        # alone: once every pin has failed the chunks abort at once.
         while not state.event.wait(0.1):
             pins = self.registry.pins()
             with self._cond:
                 closed = self._closed
-                have_workers = bool(self._pumps)
-                trail = self._abort_if_exhausted_locked(pins)
+                self._abort_if_exhausted_locked(pins)
             if closed:
                 state.abort("fleet coordinator closed")
-                continue
-            if record.degraded != "local" or have_workers:
-                idle_since = None
-                continue
-            now = time.monotonic()
-            if idle_since is None:
-                idle_since = now
-            if trail is not None or now - idle_since >= self.degraded_after:
-                self._degrade_locally(record, state)
         if state.error is not None:
             raise ServiceError(state.error)
         rows = np.vstack(state.out)
         return rows, dict(state.counters), state.n_sims
-
-    def _degrade_locally(self, record: _Tenant, state: _DispatchState) -> None:
-        """Evaluate this dispatch's *queued* chunks in-process (fallback).
-
-        Only chunks still in the tenant queue are taken — anything in
-        flight keeps its normal completion/failover path, and the wait loop
-        sweeps again 0.1 s later for chunks a dying pump requeued.  Rows
-        come from the same deterministic ``problem.evaluate`` a worker's
-        serial engine would have run, so histories stay bit-identical.
-        """
-        with self._cond:
-            if self._pumps or self._closed:
-                return  # a worker joined after all — let it serve
-            taken = [job for job in record.queue if job.state is state]
-            if not taken:
-                return
-            record.queue = deque(job for job in record.queue
-                                 if job.state is not state)
-        n_designs = sum(job.stop - job.start for job in taken)
-        _log.warning(
-            "fleet degraded to local evaluation for tenant %r: %d design(s) "
-            "in %d chunk(s), no live workers", record.name, n_designs,
-            len(taken))
-        for job in taken:
-            if job.state.aborted() or job.completed:
-                continue
-            rows = [np.asarray(row, dtype=np.float64) for row in
-                    state.problem.evaluate_batch(state.X[job.start:job.stop])]
-            with self._cond:
-                job.completed = True
-                record.n_degraded += len(rows)
-                self.n_degraded += len(rows)
-                record.worker_sims += len(rows)
-                record.t_last = time.monotonic()
-            state.complete(job.start, job.stop, rows, {}, len(rows))
 
     def _detach(self, tenant: str) -> None:
         with self._cond:
@@ -1097,30 +990,26 @@ class FleetCoordinator:
         if pump.address not in pins:
             self.registry.deregister(pump.address)
 
-    def _abort_if_exhausted_locked(self, pins) -> str | None:  # holds: _cond
-        """Abort queued work that no worker can serve; return the trail.
+    def _abort_if_exhausted_locked(self, pins) -> None:  # holds: _cond
+        """Abort queued work that no worker can serve.
 
         Only a coordinator without a registry server qualifies, since its
         pins are then its only possible workers: no pump is alive and every
-        pin has failed since its last success.  The queued chunks of every
-        tenant but the ``degraded="local"`` ones (whose dispatches evaluate
-        them in-process instead) abort with the per-host failure trail,
-        which is returned.  ``None`` otherwise — a fleet with no pins keeps
-        waiting for workers to join.
+        pin has failed since its last success.  Every tenant's queued
+        chunks then abort with the per-host failure trail.  A fleet with no
+        pins keeps waiting for workers to join.
         """
         if self._pumps or self._server is not None or not pins:
-            return None
+            return
         if any(address not in self._failures for address in pins):
-            return None
+            return
         trail = "; ".join(f"{address}: {self._failures[address][1]}"
                           for address in sorted(pins))
         for record in self._tenants.values():
-            if record.degraded != "local" and record.queue:
-                stranded, record.queue = record.queue, deque()
-                for job in stranded:
-                    job.state.abort("remote evaluation failed on all hosts: "
-                                    + trail)
-        return trail
+            stranded, record.queue = record.queue, deque()
+            for job in stranded:
+                job.state.abort("remote evaluation failed on all hosts: "
+                                + trail)
 
     # -- hedged re-dispatch ------------------------------------------------
     def _hedge_sweep(self) -> None:
@@ -1139,7 +1028,7 @@ class FleetCoordinator:
             threshold = max(self.hedge_min_s, self.hedge_factor * p50)
             # Only burn *spare* capacity on speculation: never let hedges
             # displace first-copy work already queued.
-            capacity = len(self._pumps) * self.slots_per_host
+            capacity = len(self._pumps) * self.SLOTS_PER_HOST
             backlog = sum(t.inflight + len(t.queue)
                           for t in self._tenants.values())
             spare = capacity - backlog
@@ -1191,7 +1080,7 @@ class FleetCoordinator:
                     continue
                 if self._quarantine.get(address, 0.0) > now:
                     continue
-                pump = _HostPump(self, address, self.slots_per_host)
+                pump = _HostPump(self, address)
                 self._pumps[address] = pump
                 to_start.append(pump)
             for address in list(self._pumps):

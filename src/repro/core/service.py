@@ -5,7 +5,7 @@ This module is the wire layer under the ``"remote"`` backend of
 one host), a TCP server wrapping the existing *serial* engine, and
 :class:`MultiplexedConnection` is the client side of one persistent
 connection to it.  Dispatch itself — chunking, failover, deadlines,
-degraded-local mode — lives in :class:`~repro.core.fleet.FleetCoordinator`:
+hedging — lives in :class:`~repro.core.fleet.FleetCoordinator`:
 ``EvalEngine("remote", hosts=[...])`` runs on a private, single-tenant
 coordinator pinned to those hosts, and a shared coordinator serves many
 Studies over an elastic worker fleet.

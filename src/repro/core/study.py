@@ -65,18 +65,13 @@ CHECKPOINT_FORMAT = 1
 
 
 def engine_counter_snapshot(engine) -> dict[str, int]:
-    """Current cache/dedup counter values of an engine (0 for absent ones).
+    """Current cache/dedup counter values of an engine.
 
-    Real engines are read through :meth:`EvalEngine.counters_snapshot`, so
-    every counter comes from the same instant under the engine's state
-    lock; duck-typed stand-ins without that method fall back to plain
-    attribute reads.
+    Read through :meth:`EvalEngine.counters_snapshot`, so every counter
+    comes from the same instant under the engine's state lock.
     """
-    snapshot = getattr(engine, "counters_snapshot", None)
-    if callable(snapshot):
-        values = snapshot()
-        return {name: int(values.get(name, 0)) for name in _ENGINE_COUNTERS}
-    return {name: int(getattr(engine, name, 0)) for name in _ENGINE_COUNTERS}
+    values = engine.counters_snapshot()
+    return {name: int(values[name]) for name in _ENGINE_COUNTERS}
 
 
 def attach_engine_stats(history, engine, before: dict[str, int]) -> None:

@@ -58,14 +58,12 @@ hashes (``e2e_bench/run.py --trace 1``) must not change.
 
 Numerical equivalence with the legacy path (same stamps, different summation
 order) is pinned by ``tests/spice/test_stamp_plan.py``.  The legacy path
-stays available through :func:`set_stamping_mode`/:func:`stamping` (or the
-``REPRO_SPICE_STAMPING=legacy`` environment variable) and is what the
-hot-path benchmark reports as "before".
+stays available through :func:`set_stamping_mode`/:func:`stamping` and is
+what the hot-path benchmark reports as "before".
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -82,9 +80,7 @@ from .mna import System
 __all__ = ["StampPlan", "stamping_mode", "set_stamping_mode", "stamping"]
 
 _MODES = ("plan", "legacy")
-_MODE = os.environ.get("REPRO_SPICE_STAMPING", "plan")
-if _MODE not in _MODES:  # pragma: no cover - env misconfiguration
-    _MODE = "plan"
+_MODE = "plan"
 
 _THETA_DT = TRAP_THETA  # alias: companion theta shared with the devices
 _HISTORY = (1.0 - _THETA_DT) / _THETA_DT  # trapezoidal history-current weight

@@ -22,9 +22,7 @@ single-threaded dispatch.
 
 from __future__ import annotations
 
-from time import perf_counter
-
-__all__ = ["COUNTER_NAMES", "add", "counters", "delta", "reset", "snapshot"]
+__all__ = ["COUNTER_NAMES", "add", "delta", "snapshot"]
 
 #: every counter the hot path maintains; ``*_s`` entries are seconds.
 COUNTER_NAMES = (
@@ -45,39 +43,11 @@ def add(name: str, value: float) -> None:
     _counters[name] += value
 
 
-def counters() -> dict[str, float]:
-    """Live view (a copy) of every counter."""
-    return dict(_counters)
-
-
 def snapshot() -> dict[str, float]:
-    """Alias of :func:`counters`, for before/after delta bookkeeping."""
+    """A copy of every counter, for before/after delta bookkeeping."""
     return dict(_counters)
 
 
 def delta(before: dict[str, float]) -> dict[str, float]:
     """Counter increments since ``before`` (a :func:`snapshot` result)."""
     return {name: _counters[name] - before.get(name, 0.0) for name in COUNTER_NAMES}
-
-
-def reset() -> None:
-    """Zero every counter."""
-    for name in COUNTER_NAMES:
-        _counters[name] = 0.0
-
-
-class timer:
-    """``with timer("assemble_s"):`` — adds the elapsed seconds on exit."""
-
-    __slots__ = ("name", "_t0")
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self) -> "timer":
-        self._t0 = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _counters[self.name] += perf_counter() - self._t0
-        return False

@@ -231,20 +231,32 @@ def test_overlapping_dispatches_for_different_problems_on_process_pool():
         assert engine.n_pool_builds == 1
 
 
-def test_process_backend_rejects_unpicklable_problem():
-    # Pool tasks carry the problem's pickle, so an unpicklable problem is
-    # refused at dispatch rather than silently evaluated some other way.
+@pytest.mark.parametrize("backend", ["process", "remote"])
+def test_process_backend_rejects_unpicklable_problem(backend, make_engine):
+    # Pool tasks and remote workers receive the engine's pickle of the
+    # problem, so an unpicklable problem is refused before any dispatch
+    # rather than silently evaluated some other way.
     class LocalSphere(Sphere):  # a class local to a function does not pickle
         pass
 
     problem = LocalSphere(2)
     X = problem.space.sample(np.random.default_rng(0), 4)
-    with EvalEngine("process", workers=2) as engine:
+    with make_engine(backend, 2) as engine:
         for n in (1, len(X)):
             with pytest.raises(TypeError, match="picklable"):
                 engine.evaluate_batch(problem, X[:n])
         assert engine.n_pool_builds == 0
         assert engine.n_sim_calls == 0
+        if backend == "remote":
+            # The refusal is the caller's fault, not the hosts': neither
+            # worker is quarantined and nothing was requeued, so the same
+            # engine still serves a picklable problem.
+            stats = engine._remote._coordinator.stats()
+            assert stats["n_workers"] == 2
+            assert stats["requeues"] == 0
+            sphere = Sphere(2)
+            np.testing.assert_array_equal(engine.evaluate_batch(sphere, X),
+                                          sphere.evaluate_batch(X))
 
 
 def test_hotpath_report_nonzero_under_process_backend():

@@ -46,7 +46,7 @@ def test_registry_heartbeat_ageout_and_static_pins():
     time.sleep(0.4)
     assert registry.live() == ["pinned:1"]  # heartbeats stopped -> aged out
     assert registry.n_drops == 1
-    registry.heartbeat("worker:1")          # a beat re-joins it
+    registry.register("worker:1")           # a beat re-joins it
     assert "worker:1" in registry.live()
     registry.deregister("pinned:1")
     assert registry.live() == ["worker:1"]
@@ -76,7 +76,7 @@ def test_registry_server_ops():
 # ----------------------------------------------------------------------
 def _enqueue_jobs(coordinator, tenant, n):
     """Queue n one-design chunks for a tenant, bypassing a real dispatch."""
-    state = _DispatchState(None, "00", np.zeros((n, 1)))
+    state = _DispatchState("00", "", np.zeros((n, 1)))
     state.remaining = n
     jobs = [_Job(tenant, state, i, i + 1) for i in range(n)]
     with coordinator._cond:
@@ -303,31 +303,12 @@ def test_elastic_join_serves_work_queued_before_any_worker():
 
 
 # ----------------------------------------------------------------------
-# graceful degradation: zero live workers -> bounded local evaluation
+# zero live workers: wait on a registry fleet, fail on a registry-less one
 # ----------------------------------------------------------------------
-def test_degraded_local_tenant_survives_zero_worker_fleet():
-    # A degraded="local" tenant whose dispatch sits degraded_after seconds
-    # with no live workers gets its queued chunks evaluated in-process —
-    # same deterministic rows, counted in the stats — instead of waiting
-    # forever (or failing) on an empty fleet.
-    problem = Sphere(3)
-    X = problem.space.sample(np.random.default_rng(11), 6)
-    with FleetCoordinator(poll_interval=0.05, degraded_after=0.3) as fleet:
-        engine = fleet.engine("stranded", degraded="local")
-        F = engine.evaluate_batch(problem, X)
-        np.testing.assert_array_equal(F, problem.evaluate_batch(X))
-        stats = fleet.stats()
-        assert stats["tenants"]["stranded"]["degraded"] == "local"
-        assert stats["tenants"]["stranded"]["degraded_designs"] == 6
-        assert stats["tenants"]["stranded"]["worker_sims"] == 6
-        assert stats["degraded_designs"] == 6
-        engine.close()
-
-
 def test_default_tenant_still_waits_on_empty_fleet():
-    # Without the opt-in, the elasticity contract is unchanged: chunks wait
-    # for a worker, they are never silently evaluated locally.
-    with FleetCoordinator(poll_interval=0.05, degraded_after=0.1) as fleet:
+    # The elasticity contract: with no worker yet, chunks wait for one to
+    # register, they are never evaluated in the coordinator's process.
+    with FleetCoordinator(poll_interval=0.05) as fleet:
         engine = fleet.engine("patient")
         problem = Sphere(2)
         X = problem.space.sample(np.random.default_rng(0), 3)
@@ -341,7 +322,7 @@ def test_default_tenant_still_waits_on_empty_fleet():
 
         thread = threading.Thread(target=run)
         thread.start()
-        time.sleep(0.6)  # several degraded_after windows: still queued
+        time.sleep(0.6)  # many poll intervals: still queued
         assert thread.is_alive() and not result
         engine.close()   # detach aborts the stranded dispatch
         thread.join(30)
@@ -381,27 +362,10 @@ def test_pinned_fleet_without_registry_raises_once_every_pin_failed():
 
 
 def test_fleet_engine_rejects_bad_degraded_and_hedge_config():
-    with FleetCoordinator() as fleet:
-        with pytest.raises(ValueError, match="degraded"):
-            fleet.engine("t", degraded="bogus")
     with pytest.raises(ValueError, match="hedge_factor"):
         FleetCoordinator(hedge_factor=1.0)
     with pytest.raises(ValueError, match="chunk_timeout"):
         FleetCoordinator(chunk_timeout=0.0)
-
-
-def test_degraded_local_defers_to_worker_that_joins_in_time(two_local_servers):
-    # With live workers the degraded tenant behaves exactly like any other:
-    # the fallback never fires, the fleet serves the work.
-    hosts = [server.address for server in two_local_servers]
-    problem = Sphere(3)
-    X = problem.space.sample(np.random.default_rng(12), 8)
-    with FleetCoordinator(hosts=hosts, degraded_after=0.5) as fleet:
-        engine = fleet.engine("covered", degraded="local")
-        np.testing.assert_array_equal(engine.evaluate_batch(problem, X),
-                                      problem.evaluate_batch(X))
-        assert fleet.stats()["degraded_designs"] == 0
-        engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -170,12 +170,6 @@ def test_study_snapshot_routes_through_counters_snapshot():
                          "n_dedup", "n_pool_builds", "worker_sim_calls"}
     engine.close()
 
-    class Duck:
-        n_sim_calls = 7
-
-    # Duck-typed stand-ins without the method still read per attribute.
-    assert engine_counter_snapshot(Duck())["n_sim_calls"] == 7
-
 
 def test_snapshot_safe_under_concurrent_evaluation():
     # Readers hammering the sanctioned snapshot API while a writer

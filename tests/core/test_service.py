@@ -507,22 +507,6 @@ def test_chunk_timeout_env_default(monkeypatch):
     engine.close()
     with pytest.raises(ValueError, match="chunk_timeout"):
         EvalEngine(chunk_timeout=-1.0)
-    with pytest.raises(ValueError, match="degraded"):
-        EvalEngine(degraded="bogus")
-
-
-def test_degraded_local_finishes_batch_with_no_live_workers():
-    # Graceful degradation: every host dead -> the missing rows are
-    # evaluated in-process (logged, counted), not raised as ServiceError.
-    with socket.socket() as placeholder:
-        placeholder.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{placeholder.getsockname()[1]}"
-    problem = Sphere(3)
-    X = problem.space.sample(np.random.default_rng(9), 5)
-    with EvalEngine("remote", hosts=[dead], degraded="local") as engine:
-        F = engine.evaluate_batch(problem, X)
-        assert engine._remote.n_degraded == 5
-    np.testing.assert_array_equal(F, problem.evaluate_batch(X))
 
 
 class _SilentV2Peer:
@@ -766,7 +750,7 @@ def test_closed_dispatcher_refuses_new_work():
     dispatcher = engine._remote
     engine.close()
     with pytest.raises(service.ServiceError, match="closed"):
-        dispatcher.dispatch(problem, b"token", np.zeros((1, 2)))
+        dispatcher.dispatch(b"token", b"blob", np.zeros((1, 2)))
     with pytest.raises(RuntimeError, match="closed"):
         engine.evaluate_batch(problem, np.zeros((1, 2)))
 
