@@ -34,21 +34,10 @@ def bench_workers() -> int:
     return max(1, int(os.environ.get("REPRO_WORKERS", "1")))
 
 
-def bench_pipeline() -> int:
-    """Per-trial ask/tell pipelining knob: ``REPRO_PIPELINE=D`` (default 1).
-
-    Unlike ``REPRO_WORKERS`` this *may* change trajectories — pipelined
-    proposals condition on a slightly stale archive — so it stays at 1 (the
-    paper protocol) unless a throughput run explicitly opts in.
-    """
-    return max(1, int(os.environ.get("REPRO_PIPELINE", "1")))
-
-
 @functools.lru_cache(maxsize=1)
 def folded_cascode_comparison():
     return run_building_block_comparison(FoldedCascodeOTA, scale=bench_scale(),
-                                         workers=bench_workers(),
-                                         pipeline_depth=bench_pipeline())
+                                         workers=bench_workers())
 
 
 @functools.lru_cache(maxsize=1)
@@ -60,5 +49,4 @@ def latch_comparison():
                                 industrial_budget=scale.industrial_budget,
                                 sa_budget=scale.sa_budget)
     return run_building_block_comparison(StrongArmLatch, scale=scale,
-                                         workers=bench_workers(),
-                                         pipeline_depth=bench_pipeline())
+                                         workers=bench_workers())

@@ -13,13 +13,10 @@ including a running multi-host evaluation service:
     python examples/compare_optimizers.py --engine remote \
         --hosts 127.0.0.1:9101,127.0.0.1:9102
 
-``--pipeline d`` keeps up to ``d`` ask/tell batches in flight per trial
-(overlapping proposal generation with evaluations — a throughput mode that
-lets adaptive optimizers condition on a slightly stale archive).
-``--cache-dir DIR`` persists every evaluation to disk so a repeated sweep
-answers duplicate designs with zero simulations, and ``--warm-start CKPT``
-seeds every trial from a donor run's checkpoint (see
-``examples/warmstart.py``).
+``--cache-dir DIR`` gives every trial's engine (on any backend) a
+persistent disk cache, so a repeated sweep answers duplicate designs with
+zero simulations, and ``--warm-start CKPT`` seeds every trial from a donor
+run's checkpoint (see ``examples/warmstart.py``).
 """
 
 import argparse
@@ -52,9 +49,6 @@ if __name__ == "__main__":
     parser.add_argument("--engine-workers", type=int, default=None,
                         help="pool size inside each trial's engine "
                              "(process backend)")
-    parser.add_argument("--pipeline", type=int, default=1, metavar="DEPTH",
-                        help="ask/tell batches kept in flight per trial "
-                             "(default 1 = barrier mode, the paper protocol)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent evaluation cache shared across "
                              "trials, algorithms and reruns (also honored "
@@ -66,12 +60,10 @@ if __name__ == "__main__":
                              "mapped by variable name)")
     args = parser.parse_args()
 
-    engine_factory = None
-    if args.engine != "serial":
-        hosts = [h for h in args.hosts.split(",") if h.strip()] or None
-        engine_factory = lambda: EvalEngine(args.engine, hosts=hosts,
-                                            workers=args.engine_workers,
-                                            cache_dir=args.cache_dir)
+    hosts = [h for h in args.hosts.split(",") if h.strip()] or None
+    engine_factory = lambda: EvalEngine(args.engine, hosts=hosts,
+                                        workers=args.engine_workers,
+                                        cache_dir=args.cache_dir)
 
     warm_start = None
     if args.warm_start:
@@ -85,9 +77,7 @@ if __name__ == "__main__":
     result = run_building_block_comparison(StrongArmLatch, scale=scale,
                                            workers=args.workers, verbose=True,
                                            engine_factory=engine_factory,
-                                           pipeline_depth=args.pipeline,
-                                           warm_start=warm_start,
-                                           cache_dir=args.cache_dir)
+                                           warm_start=warm_start)
 
     print()
     print(render_stats_table(result["stats"], objective_label="power (uW)",

@@ -46,8 +46,6 @@ class BOwEI(Optimizer):
         self.refit_every = max(1, int(refit_every))
         self.gp_restarts = int(gp_restarts)
         self._models: list[GaussianProcess] = []
-        self._init_plan: np.ndarray | None = None
-        self._init_served = 0
         self._iteration = 0
 
     # ------------------------------------------------------------------
@@ -56,20 +54,8 @@ class BOwEI(Optimizer):
     # simply maximizes the acquisition on a one-batch-stale posterior.
     # ------------------------------------------------------------------
     def _ask(self, k: int | None) -> np.ndarray:
-        space = self.problem.space
-        if self._init_plan is None:
-            # Donor-tell path (warm start): archive rows told before the
-            # first ask already condition the GPs, so they replace LHS
-            # samples one for one — a big enough donor skips the
-            # space-filling phase entirely.
-            warm = self.history.n_total
-            self._init_plan = space.sample_lhs(
-                self.rng, max(0, min(self.n_init - warm, self.budget)))
-        if self._init_served < len(self._init_plan):
-            stop = (len(self._init_plan) if k is None
-                    else min(len(self._init_plan), self._init_served + k))
-            chunk = self._init_plan[self._init_served:stop]
-            self._init_served = stop
+        chunk = self._initial_block(k, self.n_init)
+        if chunk is not None:
             return chunk
         count = 1 if k is None else k
         candidates = []

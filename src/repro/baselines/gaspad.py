@@ -44,8 +44,6 @@ class GASPAD(Optimizer):
         self.gp_restarts = int(gp_restarts)
         self.max_train = int(max_train)
         self._gp: GaussianProcess | None = None
-        self._init_plan: np.ndarray | None = None
-        self._init_served = 0
         self._iteration = 0
 
     # ------------------------------------------------------------------
@@ -54,19 +52,8 @@ class GASPAD(Optimizer):
     # and prescreens against a one-batch-stale archive.
     # ------------------------------------------------------------------
     def _ask(self, k: int | None) -> np.ndarray:
-        space = self.problem.space
-        if self._init_plan is None:
-            # Donor-tell path (warm start): archive rows told before the
-            # first ask already feed the GP prescreen and the elite
-            # population, so they replace LHS samples one for one.
-            warm = self.history.n_total
-            self._init_plan = space.sample_lhs(
-                self.rng, max(0, min(self.n_init - warm, self.budget)))
-        if self._init_served < len(self._init_plan):
-            stop = (len(self._init_plan) if k is None
-                    else min(len(self._init_plan), self._init_served + k))
-            chunk = self._init_plan[self._init_served:stop]
-            self._init_served = stop
+        chunk = self._initial_block(k, self.n_init)
+        if chunk is not None:
             return chunk
         count = 1 if k is None else k
         candidates = []

@@ -146,8 +146,6 @@ class DNNOpt(Optimizer):
         self.use_pseudo_samples = bool(use_pseudo_samples)
         self.initial_designs = (None if initial_designs is None
                                 else np.atleast_2d(np.asarray(initial_designs, dtype=np.float64)))
-        self._init_plan: np.ndarray | None = None
-        self._init_served = 0
         self._critic: Critic | None = None
         self._n_fits = 0  # completed model fits; drives the critic refresh
 
@@ -164,31 +162,13 @@ class DNNOpt(Optimizer):
         the top-``batch_size`` candidates (fewer when the remaining budget
         is smaller, more/less when ``k`` is given).
 
-        Archive rows told *before* the first ask — a warm start's donor
-        prefix or starting designs (see :mod:`repro.core.warmstart`) —
-        replace Latin-hypercube samples one for one: the critic/actor
-        already have an archive to train on, so the space-filling block
-        shrinks (to nothing, given a big enough donor) and the model-based
-        loop starts immediately, pre-trained on the donor data.
+        Archive rows told *before* the first ask replace Latin-hypercube
+        samples one for one (:meth:`_initial_block`): the critic/actor
+        already have an archive to train on, so given a big enough donor
+        the model-based loop starts immediately, pre-trained on its data.
         """
-        if self._init_plan is None:
-            blocks = []
-            seeded = 0
-            if self.initial_designs is not None:
-                blocks.append(self.initial_designs[:self.budget])
-                seeded = len(blocks[-1])
-            warm = self.history.n_total  # rows told before the first ask
-            n_random = max(0, min(self.n_init - seeded - warm,
-                                  self.budget - seeded))
-            blocks.append(self.problem.space.sample_lhs(self.rng, n_random))
-            blocks = [b for b in blocks if len(b)]
-            self._init_plan = (np.vstack(blocks) if blocks
-                               else np.empty((0, self.problem.dim)))
-        if self._init_served < len(self._init_plan):
-            stop = (len(self._init_plan) if k is None
-                    else min(len(self._init_plan), self._init_served + k))
-            chunk = self._init_plan[self._init_served:stop]
-            self._init_served = stop
+        chunk = self._initial_block(k, self.n_init, self.initial_designs)
+        if chunk is not None:
             return chunk
         count = k
         if count is None:

@@ -40,9 +40,11 @@ served by its pins alone, so once every pin has failed its queued
 dispatches abort at once with a
 :class:`~repro.core.service.ServiceError` carrying the per-host failure
 trail; a failed pin stays pinned and is retried after its quarantine, so
-a restarted worker serves later batches.  A worker's own *rejection* of a
-well-formed request (the evaluation raised) aborts only the affected
-dispatch — deterministic failures are never retried onto other shards.
+a restarted worker serves later batches.  Only an ``OSError`` counts as a
+transport error.  A worker's own *rejection* of a well-formed request
+(the evaluation raised), or any other exception on the pump path, aborts
+only the affected dispatch — deterministic failures are never retried onto
+other shards, and the host keeps serving.
 
 On top of that contract this module hardens the failure domain:
 ``chunk_timeout`` arms a per-chunk deadline (a worker that accepts a chunk
@@ -477,11 +479,21 @@ class _HostPump:
                     f"remote evaluation rejected: {self.address}: {exc}",
                     fatal=True)
                 continue
-            except Exception as exc:
+            except OSError as exc:
+                # Transport failure (ConnectionError, DeadlineExceeded, a
+                # socket timeout): requeue the chunk and drop this host.
                 coord._job_failed(self, job, f"{self.address}: {exc}",
                                   fatal=False)
                 coord._pump_failed(self, exc)
                 return
+            except Exception as exc:
+                # A bug on the pump path says nothing about the host: fail
+                # only this dispatch, with the error, and keep serving.
+                coord._job_failed(
+                    self, job,
+                    f"remote evaluation failed: {self.address}: "
+                    f"{type(exc).__name__}: {exc}", fatal=True)
+                continue
             coord._job_done(self, job, reply)
 
     def _eval(self, conn: MultiplexedConnection, job: _Job) -> dict:

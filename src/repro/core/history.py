@@ -272,6 +272,8 @@ class Optimizer(ABC):
         self.rng = np.random.default_rng(seed)
         self.history = OptimizationHistory(problem, self.name, seed)
         self._n_proposed = 0  # designs handed out via ask() so far
+        self._init_plan: np.ndarray | None = None  # see _initial_block
+        self._init_served = 0
 
     # -- ask/tell protocol -------------------------------------------------
     def ask(self, k: int | None = None) -> np.ndarray:
@@ -323,6 +325,35 @@ class Optimizer(ABC):
 
     def _observe(self, x: np.ndarray, f_raw: np.ndarray) -> None:
         """Consume one told result (row already appended to the history)."""
+
+    def _initial_block(self, k: int | None, n_init: int,
+                       initial_designs: np.ndarray | None = None
+                       ) -> np.ndarray | None:
+        """Serve the space-filling start, or ``None`` once it is used up.
+
+        The first call plans ``initial_designs`` (designer starting points,
+        simulated first) followed by Latin-hypercube samples up to
+        ``n_init`` designs in all.  Archive rows told *before* that call —
+        a warm start's donor prefix (see :mod:`repro.core.warmstart`) —
+        already condition the model, so they replace LHS samples one for
+        one; a big enough donor skips the block entirely.  Later calls hand
+        out the next ``k`` planned designs (all of them for ``k=None``).
+        """
+        if self._init_plan is None:
+            seeded = (np.empty((0, self.problem.dim)) if initial_designs is None
+                      else initial_designs[:self.budget])
+            warm = self.history.n_total
+            n_random = max(0, min(n_init - len(seeded) - warm,
+                                  self.budget - len(seeded)))
+            self._init_plan = np.vstack(
+                [seeded, self.problem.space.sample_lhs(self.rng, n_random)])
+        if self._init_served >= len(self._init_plan):
+            return None
+        stop = (len(self._init_plan) if k is None
+                else min(len(self._init_plan), self._init_served + k))
+        chunk = self._init_plan[self._init_served:stop]
+        self._init_served = stop
+        return chunk
 
     @contextmanager
     def timed_modeling(self) -> Iterator[None]:

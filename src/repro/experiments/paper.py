@@ -5,7 +5,9 @@ section and returns both the raw data and a rendered plain-text table or
 figure.  Budgets and trial counts are scaled down by default so the whole
 benchmark suite finishes on a laptop; set ``REPRO_FULL=1`` in the
 environment for paper-scale runs (10 trials, 500-simulation budgets,
-10000 for DE).
+10000 for DE).  Every trial follows the paper's sequential protocol; the
+``workers=`` and ``engine_factory=`` arguments only change where trials and
+simulations run, never their results.
 """
 
 from __future__ import annotations
@@ -95,9 +97,7 @@ def run_parameter_table(circuit) -> str:
 def run_building_block_comparison(circuit_cls, *, scale: ExperimentScale | None = None,
                                   workers: int = 1, verbose: bool = False,
                                   engine_factory=None,
-                                  pipeline_depth: int = 1,
-                                  warm_start=None,
-                                  cache_dir: str | None = None) -> dict:
+                                  warm_start=None) -> dict:
     """Run the 4-algorithm comparison on a building block.
 
     Returns ``{"histories": ..., "stats": ..., "curves": ...}`` — everything
@@ -105,11 +105,9 @@ def run_building_block_comparison(circuit_cls, *, scale: ExperimentScale | None 
     independent trials over a process pool without changing any result;
     ``engine_factory`` gives every trial its own evaluation engine (e.g.
     ``lambda: EvalEngine("remote", hosts=[...])`` to target a running
-    evaluation service) — also without changing any result.
-    ``pipeline_depth > 1`` overlaps each trial's proposal generation with
-    its in-flight evaluations (throughput mode; adaptive optimizers then
-    condition on a slightly stale archive, so keep it at 1 for
-    paper-protocol reproduction).
+    evaluation service, or ``partial(EvalEngine, cache_dir=d)`` for a
+    persistent disk cache) — also without changing any result.
+    ``warm_start`` seeds every trial from a donor archive.
     """
     scale = scale or current_scale()
     problem_factory = lambda: circuit_cls().problem()
@@ -119,8 +117,7 @@ def run_building_block_comparison(circuit_cls, *, scale: ExperimentScale | None 
                                    n_trials=scale.n_trials, budgets=budgets,
                                    workers=workers, verbose=verbose,
                                    engine_factory=engine_factory,
-                                   pipeline_depth=pipeline_depth,
-                                   warm_start=warm_start, cache_dir=cache_dir)
+                                   warm_start=warm_start)
     stats = {name: algorithm_stats(name, hs) for name, hs in histories.items()}
     curves = {name: mean_fom_curve(hs, length=scale.budget)
               for name, hs in histories.items()}

@@ -21,26 +21,22 @@ pools — never through a module-level global, so concurrent
 :func:`run_trials` calls (thread pools, the evaluation service)
 can never run each other's factories.
 
-``engine_factory`` points the trials at an evaluation backend: each trial
-builds its own :class:`~repro.core.engine.EvalEngine` from the factory,
-attaches it to the optimizer, and closes it when the trial ends.  With
-``engine_factory=lambda: EvalEngine("remote", hosts=[...])`` every trial
+``engine_factory`` is the one way to configure a trial's evaluation
+backend: each trial builds its own :class:`~repro.core.engine.EvalEngine`
+from the factory, attaches it to the optimizer, and closes it when the
+trial ends.  ``engine_factory=lambda: EvalEngine("remote", hosts=[...])``
 targets an already-running evaluation service (see
-:mod:`repro.core.service`).
+:mod:`repro.core.service`); ``partial(EvalEngine, cache_dir=d)`` gives
+every trial a persistent disk cache (``REPRO_CACHE_DIR`` does the same for
+default engines).
 
-Every trial is driven by a :class:`~repro.core.Study` (the ask/tell
-driver); ``pipeline_depth > 1`` turns on pipelined dispatch inside each
-trial, overlapping the optimizer's proposal generation with in-flight
-evaluations on the process/remote backends.  Pipelined proposals condition
-on a slightly stale archive, so unlike ``workers``/``engine_factory`` this
-knob *may* change trajectories of adaptive optimizers — leave it at 1 for
-paper-protocol reproduction runs.
+Every trial is driven by a barrier :class:`~repro.core.Study` (the ask/tell
+driver), so each trial follows the paper's sequential Algorithm 1.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable
@@ -50,12 +46,6 @@ from ..core.history import OptimizationHistory
 from ..core.study import Study
 
 __all__ = ["run_trials", "compare_algorithms"]
-
-
-def _cache_engine(cache_dir: str):
-    """Module-level engine factory (picklable into pool workers)."""
-    from ..core.engine import EvalEngine
-    return EvalEngine(cache_dir=cache_dir)
 
 OptimizerFactory = Callable[[object, int, int], object]
 """Signature: factory(problem, budget, seed) -> Optimizer."""
@@ -76,14 +66,12 @@ def _pool_trial(trial: int) -> OptimizationHistory:
 
 
 def _execute_trial(context: tuple, trial: int) -> OptimizationHistory:
-    (factory, problem_factory, budget, base_seed, engine_factory, depth,
-     warm_start) = context
+    factory, problem_factory, budget, base_seed, engine_factory, warm_start = context
     problem = problem_factory()
     optimizer = factory(problem, budget, base_seed + trial)
     engine = engine_factory() if engine_factory is not None else None
     try:
-        return Study(optimizer, engine=engine, pipeline_depth=depth,
-                     warm_start=warm_start).run()
+        return Study(optimizer, engine=engine, warm_start=warm_start).run()
     finally:
         if engine is not None:
             engine.close()
@@ -93,11 +81,8 @@ def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],
                *, budget: int, n_trials: int, base_seed: int = 0,
                workers: int = 1, verbose: bool = False,
                engine_factory: Callable[[], object] | None = None,
-               pipeline_depth: int = 1,
                warm_start=None,
-               cache_dir: str | None = None,
                fleet=None,
-               fleet_kwargs: dict | None = None,
                ) -> list[OptimizationHistory]:
     """Run ``n_trials`` independent optimizations with seeds
     ``base_seed, base_seed+1, ...`` (a fresh problem instance per trial).
@@ -109,17 +94,11 @@ def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],
     optimizer and closed after its trial.  A ``process`` engine inside forked
     trial workers (which are daemonic) evaluates in-process, with the same
     rows; elsewhere it starts its own pool.  Either way the problem must
-    pickle.  ``pipeline_depth > 1`` pipelines each trial's
-    proposal/evaluation loop (see :class:`~repro.core.Study`).
+    pickle.
 
     ``warm_start`` is a :class:`~repro.core.WarmStart` applied to *every*
     trial (each trial maps/tells the donor archive independently — the
     per-trial seeds still differ, so trials stay independent).
-    ``cache_dir`` gives each trial's engine a persistent disk cache tier;
-    trials of a repeated sweep then answer duplicate designs with zero
-    simulations, even across processes.  Ignored when ``engine_factory``
-    is given — configure the factory's engines instead (or set
-    ``REPRO_CACHE_DIR``, which every default-configured engine honors).
 
     ``fleet`` points every trial at a shared
     :class:`~repro.core.fleet.FleetCoordinator`: each trial becomes its
@@ -127,21 +106,14 @@ def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],
     the worker fleet under the fair scheduler.  Mutually exclusive with
     ``engine_factory``.  The coordinator lives in *this* process, so
     parallel trials run on the thread pool rather than forked workers.
-    ``fleet_kwargs`` forwards per-tenant scheduling knobs to every trial's
-    ``fleet.engine()`` call — e.g. ``{"priority": 2.0}``.
     """
     workers = max(1, int(workers))
-    if fleet_kwargs and fleet is None:
-        raise ValueError("fleet_kwargs requires fleet=")
     if fleet is not None:
         if engine_factory is not None:
             raise ValueError("pass either fleet= or engine_factory=, not both")
-        engine_factory = (partial(fleet.engine, **fleet_kwargs)
-                          if fleet_kwargs else fleet.engine)
-    elif engine_factory is None and cache_dir:
-        engine_factory = partial(_cache_engine, os.fspath(cache_dir))
+        engine_factory = fleet.engine
     context = (factory, problem_factory, int(budget), int(base_seed),
-               engine_factory, max(1, int(pipeline_depth)), warm_start)
+               engine_factory, warm_start)
     if workers == 1 or n_trials <= 1:
         histories = []
         for trial in range(n_trials):
@@ -205,21 +177,18 @@ def compare_algorithms(optimizers: dict[str, OptimizerFactory],
                        workers: int = 1,
                        verbose: bool = False,
                        engine_factory: Callable[[], object] | None = None,
-                       pipeline_depth: int = 1,
                        warm_start=None,
-                       cache_dir: str | None = None,
                        fleet=None,
-                       fleet_kwargs: dict | None = None,
                        ) -> dict[str, list[OptimizationHistory]]:
     """Run every algorithm with the multi-trial protocol.
 
     ``budgets`` overrides the budget per algorithm (the paper gives DE 10000
     simulations but the model-based methods only 500); overrides are applied
     per algorithm before its trials are dispatched, so they hold under any
-    ``workers`` setting.  ``engine_factory``, ``pipeline_depth``,
-    ``warm_start`` and ``cache_dir`` are forwarded to :func:`run_trials`
-    (with a shared ``cache_dir``, an algorithm re-proposing a design any
-    earlier algorithm already simulated gets it answered from disk).
+    ``workers`` setting.  ``engine_factory``, ``warm_start`` and ``fleet``
+    are forwarded to :func:`run_trials` (with engines sharing one
+    ``cache_dir``, an algorithm re-proposing a design any earlier algorithm
+    already simulated gets it answered from disk).
     """
     workers = max(1, int(workers))
     results: dict[str, list[OptimizationHistory]] = {}
@@ -232,7 +201,5 @@ def compare_algorithms(optimizers: dict[str, OptimizerFactory],
                                    n_trials=n_trials, base_seed=base_seed,
                                    workers=workers, verbose=verbose,
                                    engine_factory=engine_factory,
-                                   pipeline_depth=pipeline_depth,
-                                   warm_start=warm_start, cache_dir=cache_dir,
-                                   fleet=fleet, fleet_kwargs=fleet_kwargs)
+                                   warm_start=warm_start, fleet=fleet)
     return results

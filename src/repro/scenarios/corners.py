@@ -16,7 +16,7 @@ variants built from them — are deterministic across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 __all__ = ["Corner", "ScenarioSet", "process_corner", "PROCESS_CORNERS",
@@ -214,9 +214,3 @@ class ScenarioSet:
                         temp_c=float(temp)))
         corners.sort(key=lambda corner: not corner.is_nominal)
         return ScenarioSet(tuple(corners))
-
-    def with_supplies(self, supplies: Iterable[str]) -> "ScenarioSet":
-        """The same set targeting a different list of supply-source names."""
-        names = tuple(supplies)
-        return ScenarioSet(tuple(replace(corner, supplies=names)
-                                 for corner in self.corners))

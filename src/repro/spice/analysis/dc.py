@@ -7,7 +7,7 @@ import numpy as np
 from ..devices.sources import DC, CurrentSource, VoltageSource
 from ..errors import AnalysisError
 from ..solver import solve_dc
-from .op import OperatingPoint, _assemble_factory
+from .op import _assemble_factory
 
 __all__ = ["DCSweepResult", "dc_sweep"]
 
@@ -31,9 +31,6 @@ class DCSweepResult:
         """Branch current of ``vsource`` across the sweep."""
         branch = self.compiled.vsource_branch[vsource]
         return self.solutions[:, branch]
-
-    def op_at(self, index: int) -> OperatingPoint:
-        return OperatingPoint(self.compiled, self.solutions[index])
 
 
 def dc_sweep(circuit, source_name: str, values) -> DCSweepResult:

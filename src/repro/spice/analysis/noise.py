@@ -51,10 +51,6 @@ class NoiseResult:
         """Integrated RMS output noise over [fmin, fmax] (defaults: whole band)."""
         return self._rms(self.output_psd, fmin, fmax)
 
-    def input_rms(self, fmin: float | None = None, fmax: float | None = None) -> float:
-        """Integrated RMS input-referred noise over the band."""
-        return self._rms(self.input_psd, fmin, fmax)
-
     def _rms(self, psd: np.ndarray, fmin, fmax) -> float:
         mask = np.ones(len(self.freqs), dtype=bool)
         if fmin is not None:

@@ -43,14 +43,6 @@ class OperatingPoint:
         device, idx = entry
         return -device.voltage_at(None) * self.x[idx.branches[0]]
 
-    def total_supply_power(self, prefix: str = "VDD") -> float:
-        """Sum of delivered power over all sources whose name starts with ``prefix``."""
-        total = 0.0
-        for device, idx in self.compiled.vsource_entries:
-            if device.name.startswith(prefix):
-                total += -device.voltage_at(None) * self.x[idx.branches[0]]
-        return total
-
     def mosfet_op(self, name: str):
         """Small-signal operating record of MOSFET ``name``."""
         entry = self.compiled.device_map.get(name)

@@ -110,9 +110,6 @@ class CompiledCircuit:
         self.mosfet_entries: list[tuple[MOSFET, DeviceIndex]] = [
             (device, idx) for device, idx in self.devices_with_indices()
             if isinstance(device, MOSFET)]
-        self.vsource_entries: list[tuple[VoltageSource, DeviceIndex]] = [
-            (device, idx) for device, idx in self.devices_with_indices()
-            if isinstance(device, VoltageSource)]
         self._plan = None
 
     def _node(self, name: str) -> int:

@@ -14,6 +14,7 @@ Load-bearing contracts pinned here:
   sims/sec + cache hit-rate).
 """
 
+import itertools
 import socket
 import threading
 import time
@@ -25,7 +26,7 @@ from repro.baselines import RandomSearch
 from repro.core import EvalEngine
 from repro.core import service
 from repro.core.fleet import (FleetCoordinator, RegistryServer,
-                              WorkerRegistry, _DispatchState, _Job)
+                              WorkerRegistry, _DispatchState, _HostPump, _Job)
 from repro.experiments import run_trials
 from repro.problems import ConstrainedSphere, LatencyProblem, Sphere
 
@@ -212,6 +213,36 @@ def test_run_trials_fleet_param_matches_serial(two_local_servers):
     for a, b in zip(serial, shared):
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.F, b.F)
+
+
+def test_pump_bug_fails_dispatch_without_dropping_host(two_local_servers,
+                                                     monkeypatch):
+    # Only an OSError is a transport failure.  Any other exception on the
+    # pump path aborts just its dispatch, naming the error; the host is
+    # neither quarantined nor its chunk requeued, so it keeps serving.
+    real_eval = _HostPump._eval
+    calls = itertools.count()
+
+    def eval_failing_once(self, conn, job):
+        if next(calls) == 0:  # atomic under the GIL: exactly one raises
+            raise RuntimeError("pump bug")
+        return real_eval(self, conn, job)
+
+    monkeypatch.setattr(_HostPump, "_eval", eval_failing_once)
+    hosts = [server.address for server in two_local_servers]
+    problem = Sphere(2)
+    X = problem.space.sample(np.random.default_rng(4), 6)
+    with FleetCoordinator(hosts=hosts) as fleet:
+        with fleet.engine("buggy") as engine:
+            with pytest.raises(service.ServiceError,
+                               match="RuntimeError: pump bug"):
+                engine.evaluate_batch(problem, X)
+            stats = fleet.stats()
+            assert stats["n_workers"] == 2
+            assert stats["requeues"] == 0
+            X_next = problem.space.sample(np.random.default_rng(5), 6)
+            np.testing.assert_array_equal(engine.evaluate_batch(problem, X_next),
+                                          problem.evaluate_batch(X_next))
 
 
 # ----------------------------------------------------------------------

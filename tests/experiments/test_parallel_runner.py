@@ -7,6 +7,7 @@ identical to serial execution, and that per-algorithm budget overrides in
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -108,6 +109,21 @@ def test_engine_factory_leaves_histories_unchanged():
             got = run_trials(factory, lambda: Sphere(3), workers=workers,
                              engine_factory=engine_factory, **kwargs)
             _assert_histories_equal(base, got)
+
+
+def test_disk_cache_engine_factory_reruns_sweep_from_disk(tmp_path):
+    # engine_factory is the runner's one engine knob; a persistent cache is
+    # partial(EvalEngine, cache_dir=...).  A rerun of the sweep in fresh
+    # fork-pool workers answers every design from the shared disk tier.
+    factory = lambda p, b, s: RandomSearch(p, b, s)
+    kwargs = dict(budget=8, n_trials=3, base_seed=2, workers=2,
+                  engine_factory=partial(EvalEngine, cache_dir=tmp_path))
+    first = run_trials(factory, lambda: ConstrainedSphere(2), **kwargs)
+    second = run_trials(factory, lambda: ConstrainedSphere(2), **kwargs)
+    for history in second:
+        assert history.engine_stats["misses"] == 0
+        assert history.engine_stats["disk_hits"] > 0
+    _assert_histories_equal(first, second)
 
 
 def test_engine_factory_process_backend_inside_pool_workers():
