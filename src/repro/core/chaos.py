@@ -1,8 +1,8 @@
 """Deterministic fault injection for the evaluation service and fleet.
 
-The failure-hardening layer (chunk deadlines, bounded failover, hedged
-re-dispatch, backoff quarantine) is only worth trusting if every recovery
-path is *provoked on demand* and pinned by tests.  This module provides
+The failure-hardening layer (chunk deadlines, bounded failover, backoff
+quarantine) is only worth trusting if every recovery path is *provoked
+on demand* and pinned by tests.  This module provides
 that provocation as data, not hand-scripted fakes:
 
 * :class:`FaultSpec` — one fault: a ``kind`` (what goes wrong), an ``op``
@@ -24,8 +24,8 @@ Fault kinds
 
 ==============  ========================================================
 ``delay``       hold the matching reply ``delay_s`` seconds before
-                forwarding (the injected-straggler model; exercises the
-                hedged re-dispatch path)
+                forwarding (the injected-straggler model; exercises
+                waiting out a slow reply under ``chunk_timeout``)
 ``hang``        swallow the reply: the worker answered but the
                 coordinator never hears it (exercises ``chunk_timeout``)
 ``drop``        close both sides mid-request (transport failure and

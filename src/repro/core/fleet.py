@@ -48,14 +48,13 @@ other shards, and the host keeps serving.
 
 On top of that contract this module hardens the failure domain:
 ``chunk_timeout`` arms a per-chunk deadline (a worker that accepts a chunk
-and never replies is a retryable transport failure, not a hang);
-``hedge_factor`` re-dispatches straggling chunks speculatively to another
-host (first reply wins, duplicates discarded — harmless because evals are
-deterministic and cache-deduped); failed hosts are quarantined under
-capped exponential backoff with deterministic jitter instead of a fixed
-retry-after.  Nothing is ever evaluated in the coordinator's process: with
-zero live workers a registry fleet waits for one to register, and a
-registry-less one fails as described above.  All recovery paths preserve
+and never replies is a retryable transport failure, not a hang; a slow
+worker that does reply is simply waited for); failed hosts are
+quarantined under capped exponential backoff with deterministic jitter
+instead of a fixed retry-after.  A chunk has at most one copy in flight,
+so each is written back exactly once.  Nothing is ever evaluated in the
+coordinator's process: with zero live workers a registry fleet waits for
+one to register, and a registry-less one fails as described above.  All recovery paths preserve
 the bit-identity contract below and are pinned under seeded fault
 injection by :mod:`repro.core.chaos` (``tests/core/test_chaos.py``).
 
@@ -325,16 +324,14 @@ class _DispatchState:
 class _Job:
     """One chunk of one tenant's dispatch, as queued for the fleet.
 
-    A job may be *speculatively duplicated* by the hedge sweep: the same
-    object is queued again and picked by a second host, ``inflight`` counts
-    the live copies, and ``completed`` makes completion first-wins — the
-    losing copy's reply (or failure) is discarded, never double-written.
-    All hedge/duplicate fields are guarded by the coordinator's lock.
+    A job has at most one copy in flight: it is queued again only after
+    that copy has failed, so its rows are written back exactly once,
+    through :meth:`_DispatchState.complete`.  Its fields are guarded by
+    the coordinator's lock.
     """
 
     __slots__ = ("tenant", "state", "start", "stop", "requeues", "trail",
-                 "hosts", "started", "inflight", "completed", "hedged",
-                 "hedge_pending")
+                 "started")
 
     def __init__(self, tenant: str, state: _DispatchState, start: int,
                  stop: int):
@@ -344,12 +341,7 @@ class _Job:
         self.stop = stop
         self.requeues = 0
         self.trail: list[str] = []  # per-host failure history
-        self.hosts: set[str] = set()   # addresses that picked this job
         self.started: float | None = None  # monotonic ts of first pick
-        self.inflight = 0              # copies currently on some worker
-        self.completed = False         # first reply already written back
-        self.hedged = False            # a speculative copy was issued
-        self.hedge_pending = False     # speculative copy queued, not picked
 
 
 class _Tenant:
@@ -365,7 +357,7 @@ class _Tenant:
         self.credit = 0.0
         self.queue: deque[_Job] = deque()
         self.closed = False
-        self.inflight = 0      # chunk copies currently on some worker
+        self.inflight = 0      # chunks currently on some worker
         self.n_dispatches = 0
         self.n_chunks = 0
         self.n_designs = 0     # designs entering the fleet (post engine-cache)
@@ -424,7 +416,6 @@ class _HostPump:
         self.stop = threading.Event()
         self.n_chunks = 0
         self.n_sims = 0
-        self.inflight = 0
         self._conn: MultiplexedConnection | None = None  # guarded by: _conn_lock
         self._conn_lock = threading.Lock()
         # Intentionally lock-free (not annotated): slot threads race on the
@@ -466,7 +457,7 @@ class _HostPump:
             coord._pump_failed(self, exc)
             return
         while not self.stop.is_set():
-            job = coord._next_job(self.stop, self.address)
+            job = coord._next_job(self.stop)
             if job is None:
                 return
             try:
@@ -564,19 +555,6 @@ class FleetCoordinator:
         transport failure — dropped, quarantined, its chunk re-queued under
         the bounded budget — instead of hanging the dispatch.  ``None``
         (default) means no deadline.
-    hedge_factor:
-        Straggler threshold multiplier: once at least
-        ``HEDGE_MIN_SAMPLES`` chunk latencies have been observed, a chunk
-        in flight for longer than ``max(hedge_min_s, hedge_factor * p50)``
-        is speculatively re-queued for a *different* host (at most once per
-        chunk, and only when the fleet has spare slots).  First reply wins;
-        the loser is discarded by the job's completion flag (the wire layer
-        already discards late replies by request id).  Safe because evals
-        are deterministic and cache-deduped — histories stay bit-identical.
-        ``None`` (default) disables hedging.
-    hedge_min_s:
-        Floor for the straggler threshold, so sub-millisecond p50s don't
-        hedge every scheduling hiccup (default 0.25 s).
 
     Tenants are created with :meth:`engine`; scheduling is weighted deficit
     round-robin at chunk granularity (see module docstring).  The
@@ -584,9 +562,6 @@ class FleetCoordinator:
     (threads), remote observers read :meth:`stats` through the registry
     server's ``stats`` op.
     """
-
-    #: completed-chunk latencies required before hedging arms itself.
-    HEDGE_MIN_SAMPLES = 5
 
     #: cap (seconds) on the exponential quarantine backoff of a failed host.
     QUARANTINE_CAP_S = 30.0
@@ -599,13 +574,9 @@ class FleetCoordinator:
                  heartbeat_timeout: float = 10.0, poll_interval: float = 0.2,
                  max_chunk_requeues: int | None = None,
                  connect_timeout: float = 10.0,
-                 chunk_timeout: float | None = None,
-                 hedge_factor: float | None = None,
-                 hedge_min_s: float = 0.25):
+                 chunk_timeout: float | None = None):
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise ValueError("chunk_timeout must be > 0 seconds")
-        if hedge_factor is not None and hedge_factor <= 1.0:
-            raise ValueError("hedge_factor must be > 1.0")
         self.registry = registry or WorkerRegistry(timeout=heartbeat_timeout)
         for host in hosts:
             self.registry.register(host, static=True)
@@ -614,9 +585,6 @@ class FleetCoordinator:
         self.connect_timeout = float(connect_timeout)
         self.chunk_timeout = (None if chunk_timeout is None
                               else float(chunk_timeout))
-        self.hedge_factor = (None if hedge_factor is None
-                             else float(hedge_factor))
-        self.hedge_min_s = float(hedge_min_s)
         self._cond = threading.Condition()
         self._tenants: dict[str, _Tenant] = {}   # guarded by: _cond
         self._order: list[str] = []   # round-robin ring; guarded by: _cond
@@ -624,14 +592,11 @@ class FleetCoordinator:
         self._pumps: dict[str, _HostPump] = {}   # guarded by: _cond
         self._quarantine: dict[str, float] = {}  # retry-after per host; guarded by: _cond
         self._failures: dict[str, tuple[int, str]] = {}  # streak, last error; guarded by: _cond
-        self._running: set[_Job] = set()         # live jobs; guarded by: _cond
         self._latencies: deque[float] = deque(maxlen=512)  # guarded by: _cond
         self._ids = count(1)
         self._closed = False                     # guarded by: _cond
         self._server: RegistryServer | None = None
         self.n_requeues = 0        # guarded by: _cond
-        self.n_hedges = 0          # speculative duplicates; guarded by: _cond
-        self.n_hedge_discards = 0  # losing copies dropped; guarded by: _cond
         self._sync_pumps()  # static hosts get pumps before the first dispatch
         self._watcher = threading.Thread(target=self._watch,
                                          name="fleet-watcher", daemon=True)
@@ -708,15 +673,12 @@ class FleetCoordinator:
                 tenants[name] = entry
             workers = {address: {"chunks": pump.n_chunks,
                                  "sims": pump.n_sims,
-                                 "inflight": pump.inflight,
                                  "slots": self.SLOTS_PER_HOST}
                        for address, pump in self._pumps.items()}
             queue_depth = sum(len(t.queue) for t in self._tenants.values())
             inflight = sum(t.inflight for t in self._tenants.values())
             latencies = sorted(self._latencies)
             requeues = self.n_requeues
-            hedges = self.n_hedges
-            hedge_discards = self.n_hedge_discards
         # Engine counters come from each engine's own lock — taken *after*
         # _cond is released so the two locks never nest.
         for name, engine in engines.items():
@@ -734,16 +696,9 @@ class FleetCoordinator:
         return {"queue_depth": queue_depth, "inflight_chunks": inflight,
                 "n_workers": len(workers), "workers": workers,
                 "tenants": tenants, "requeues": requeues,
-                "hedges": hedges,
-                "hedge_discards": hedge_discards,
                 "chunk_latency": latency,
                 "registry": {"live": self.registry.live(),
                              **self.registry.counters()}}
-
-    def chunk_latencies(self) -> list[float]:
-        """Recent completed-chunk wall latencies (first pick → first reply)."""
-        with self._cond:
-            return list(self._latencies)
 
     def close(self) -> None:
         """Stop pumps and watcher; abort queued/in-flight dispatches."""
@@ -827,19 +782,18 @@ class FleetCoordinator:
             job.state.abort(f"tenant {tenant!r} engine closed mid-dispatch")
 
     # -- scheduler ---------------------------------------------------------
-    def _next_job(self, stop: threading.Event,
-                  address: str | None = None) -> _Job | None:
+    def _next_job(self, stop: threading.Event) -> _Job | None:
         """Block until a chunk is scheduled for this pump (or it stops)."""
         with self._cond:
             while True:
                 if self._closed or stop.is_set():
                     return None
-                job = self._pick_locked(address)
+                job = self._pick_locked()
                 if job is not None:
                     return job
                 self._cond.wait(0.1)
 
-    def _pick_locked(self, address: str | None = None) -> _Job | None:  # holds: _cond
+    def _pick_locked(self) -> _Job | None:  # holds: _cond
         """Weighted deficit round-robin over the queued tenants.
 
         Serving a chunk costs one credit; when no queued tenant can afford
@@ -847,14 +801,7 @@ class FleetCoordinator:
         so over time tenant A receives ``priority_A / priority_B`` times
         tenant B's chunks, and a tenant with *any* queue always gets a
         turn within one ring cycle (starvation-free).
-
-        A *speculative* copy (hedge) is deferred when the asking pump's
-        ``address`` already ran the original — hedging only pays when the
-        duplicate lands on a different host — unless this host is the only
-        one alive.  Deferrals are bounded by the total queue length, so a
-        pump that can serve nothing simply waits instead of spinning.
         """
-        deferred = 0
         while True:
             ready = [name for name in self._order
                      if self._tenants[name].queue]
@@ -878,29 +825,11 @@ class FleetCoordinator:
                 return None
             picked.credit -= 1.0
             job = picked.queue.popleft()
-            if job.state.aborted() or job.completed:
+            if job.state.aborted():
                 picked.credit += 1.0  # discarded, not served
-                if job.completed and job.hedge_pending:
-                    # speculative copy answered before it was even picked
-                    self.n_hedge_discards += 1
-                job.hedge_pending = False
                 continue
-            if (job.hedge_pending and address is not None
-                    and address in job.hosts and len(self._pumps) > 1):
-                picked.queue.append(job)
-                picked.credit += 1.0
-                deferred += 1
-                if deferred >= sum(len(t.queue)
-                                   for t in self._tenants.values()):
-                    return None
-                continue
-            job.hedge_pending = False
-            if address is not None:
-                job.hosts.add(address)
             if job.started is None:
                 job.started = time.monotonic()
-            job.inflight += 1
-            self._running.add(job)
             picked.n_chunks += 1
             picked.inflight += 1
             return job
@@ -911,30 +840,17 @@ class FleetCoordinator:
         n_sims = int(reply.get("n_sims", len(rows)))
         now = time.monotonic()
         with self._cond:
-            first = not job.completed
-            job.completed = True
-            job.inflight -= 1
-            if job.inflight <= 0:
-                self._running.discard(job)
             record = self._tenants.get(job.tenant)
             if record is not None:
                 record.inflight -= 1
                 record.t_last = now
-                if first:
-                    record.worker_sims += n_sims
+                record.worker_sims += n_sims
             pump.n_chunks += 1
             pump.n_sims += n_sims
-            if first:
-                if job.started is not None:
-                    self._latencies.append(now - job.started)
-                self._failures.pop(pump.address, None)  # host is healthy
-            else:
-                # A hedge twin (or a late original) already wrote the rows:
-                # discard this reply.  Determinism makes both bit-identical.
-                self.n_hedge_discards += 1
-        if first:
-            job.state.complete(job.start, job.stop, rows,
-                               reply.get("counters", {}), n_sims)
+            self._latencies.append(now - job.started)
+            self._failures.pop(pump.address, None)  # host is healthy
+        job.state.complete(job.start, job.stop, rows,
+                           reply.get("counters", {}), n_sims)
 
     def _job_failed(self, pump: _HostPump, job: _Job, message: str, *,
                     fatal: bool) -> None:
@@ -942,23 +858,14 @@ class FleetCoordinator:
             record = self._tenants.get(job.tenant)
             if record is not None:
                 record.inflight -= 1
-            job.inflight -= 1
-            if job.inflight <= 0 and not job.hedge_pending:
-                self._running.discard(job)
-            if job.completed:
-                return  # a speculative twin already answered this chunk
-            if fatal or job.state.aborted():
-                if fatal:
-                    job.state.abort(message)
-                self._running.discard(job)
+            if fatal:
+                job.state.abort(message)
+                return
+            if job.state.aborted():
                 return
             job.requeues += 1
             job.trail.append(message)
             self.n_requeues += 1
-            if job.inflight > 0 or job.hedge_pending:
-                # A twin copy is still running (or queued): it owns the
-                # chunk now.  If it fails too, *its* _job_failed requeues.
-                return
             budget = (self.max_chunk_requeues
                       if self.max_chunk_requeues is not None
                       else 2 * max(1, len(self._pumps)))
@@ -1023,48 +930,6 @@ class FleetCoordinator:
                 job.state.abort("remote evaluation failed on all hosts: "
                                 + trail)
 
-    # -- hedged re-dispatch ------------------------------------------------
-    def _hedge_sweep(self) -> None:
-        """Speculatively re-queue straggling in-flight chunks (at most once
-        each) for a different host — first reply wins, the loser is
-        discarded by the job's completion flag."""
-        if self.hedge_factor is None:
-            return
-        now = time.monotonic()
-        with self._cond:
-            if len(self._pumps) < 2:
-                return  # nowhere different to send a duplicate
-            if len(self._latencies) < self.HEDGE_MIN_SAMPLES:
-                return
-            p50 = float(np.percentile(self._latencies, 50))
-            threshold = max(self.hedge_min_s, self.hedge_factor * p50)
-            # Only burn *spare* capacity on speculation: never let hedges
-            # displace first-copy work already queued.
-            capacity = len(self._pumps) * self.SLOTS_PER_HOST
-            backlog = sum(t.inflight + len(t.queue)
-                          for t in self._tenants.values())
-            spare = capacity - backlog
-            hedged_any = False
-            for job in list(self._running):
-                if spare <= 0:
-                    break
-                if (job.completed or job.hedged or job.started is None
-                        or job.state.aborted()):
-                    continue
-                if now - job.started < threshold:
-                    continue
-                record = self._tenants.get(job.tenant)
-                if record is None or record.closed:
-                    continue
-                job.hedged = True
-                job.hedge_pending = True
-                record.queue.appendleft(job)
-                self.n_hedges += 1
-                spare -= 1
-                hedged_any = True
-            if hedged_any:
-                self._cond.notify_all()
-
     # -- registry watcher --------------------------------------------------
     def _watch(self) -> None:
         # Unlocked peek at the monotonic closed flag: close() joins this
@@ -1073,7 +938,6 @@ class FleetCoordinator:
         while not self._closed:
             try:
                 self._sync_pumps()
-                self._hedge_sweep()
             except Exception:  # pragma: no cover - watcher must survive
                 pass
             time.sleep(self.poll_interval)

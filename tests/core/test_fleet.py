@@ -173,6 +173,10 @@ def test_two_tenants_bit_identical_histories_and_metrics(two_local_servers):
         assert tenants["study-a"]["cache_hit_rate"] == 0.0
         assert tenants["study-a"]["priority"] == 2.0
         assert reply["stats"]["n_workers"] == 2
+        workers = reply["stats"]["workers"]
+        for entry in workers.values():
+            assert set(entry) == {"chunks", "sims", "slots"}
+        assert sum(entry["sims"] for entry in workers.values()) == 36
         engine_a.close()
         engine_b.close()
     np.testing.assert_array_equal(histories["a"].X, serial_a.X)
@@ -392,9 +396,7 @@ def test_pinned_fleet_without_registry_raises_once_every_pin_failed():
     assert "failed on all hosts" in str(result["error"])
 
 
-def test_fleet_engine_rejects_bad_degraded_and_hedge_config():
-    with pytest.raises(ValueError, match="hedge_factor"):
-        FleetCoordinator(hedge_factor=1.0)
+def test_fleet_rejects_nonpositive_chunk_timeout():
     with pytest.raises(ValueError, match="chunk_timeout"):
         FleetCoordinator(chunk_timeout=0.0)
 
